@@ -16,11 +16,9 @@ from .qudit_core import (
     haar_random_state,
     negativity,
     partial_trace,
-    p_operator,
     shift_p,
     shift_x,
     transpose_op,
-    x_operator,
 )
 from .qid_network import (
     DistributorOutput,
@@ -42,8 +40,6 @@ from .qid_network import (
 from .cv_gaussian import (
     GaussianState,
     GridResolutionError,
-    KernelTriple,
-    SqueezingParam,
     WignerGrid,
     coherent_cloner,
     cv_fidelity,

@@ -12,6 +12,7 @@ fails, so the CLI doubles as a CI gate.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -22,11 +23,10 @@ import numpy as np
 
 from . import cv_gaussian as cv
 from . import qid_network as net
-from .qudit_core import PureState, fidelity, haar_random_state
+from .qudit_core import MAX_TRIPARTITE_DIM, PureState, fidelity, haar_random_state
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
-SIMULATION_DIM_CAP = 64
 
 
 def _fmt(value) -> str:
@@ -62,36 +62,43 @@ def _resolve_out(path: str | None):
     return p
 
 
-def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
+def _write(text: str, args) -> None:
+    """Send ``text`` to ``--out`` if given, else to stdout."""
     out = _resolve_out(args.out)
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "rows": _json_ready(rows)}
-        text = json.dumps(doc, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
+
+
+def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
+    if args.format == "json":
+        _emit_doc({"rows": rows}, args)
+        return
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
+    _write("\n".join(lines) + "\n", args)
 
 
 def _emit_doc(doc: dict, args) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-    text = json.dumps(_json_ready(doc), indent=2) + "\n"
-    out = _resolve_out(args.out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    _write(json.dumps(_json_ready(doc), indent=2) + "\n", args)
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _worst(deviations) -> float:
+    """Largest deviation, NaN if any is NaN (the built-in max can drop it)."""
+    return float(np.max(list(deviations), initial=0.0))
+
+
+def _exceeds(value: float, tol: float) -> bool:
+    """Gate test: true when ``value`` is above ``tol`` or is NaN."""
+    return not (value <= tol)
 
 
 def _parse_dims(args) -> list[int]:
@@ -129,7 +136,7 @@ def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState
 
 def cmd_clone(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rows, worst = [], 0.0
+    rows, deviations = [], []
     for dim in _parse_dims(args):
         row = {
             "N": dim,
@@ -138,20 +145,20 @@ def cmd_clone(args) -> int:
             "s_simulated": None,
             "F_simulated": None,
         }
-        if dim <= SIMULATION_DIM_CAP:
+        if dim <= MAX_TRIPARTITE_DIM:
             psi = haar_random_state((dim,), rng)
             out = net.distribute(psi, net.cloner_program(dim))
             f_sim = fidelity(out.rho1, psi)
             row["F_simulated"] = f_sim
             row["s_simulated"] = (f_sim - 1.0 / dim) / (1.0 - 1.0 / dim)
-            worst = max(
-                worst,
+            deviations += [
                 abs(row["s_simulated"] - row["s_closed"]),
                 abs(row["F_simulated"] - row["F_closed"]),
-            )
+            ]
         rows.append(row)
     _emit_rows(rows, ["N", "s_closed", "s_simulated", "F_closed", "F_simulated"], args)
-    if worst > 1e-10:
+    worst = _worst(deviations)
+    if _exceeds(worst, 1e-10):
         return _fail(f"simulated and closed-form columns disagree by {worst:.3e}")
     return 0
 
@@ -163,7 +170,7 @@ def cmd_distribute(args) -> int:
     program = net.program_state(dim, args.alpha, beta)
     sim = net.distribute(psi, program)
     closed = net.predicted_outputs(dim, args.alpha, beta, psi)
-    deviation = max(
+    deviation = _worst(
         float(np.abs(a.matrix - b.matrix).max())
         for a, b in ((sim.rho1, closed.rho1), (sim.rho2, closed.rho2), (sim.rho3, closed.rho3))
     )
@@ -183,23 +190,26 @@ def cmd_distribute(args) -> int:
         "max_deviation": deviation,
     }
     _emit_doc(doc, args)
-    if deviation > 1e-10:
+    if _exceeds(deviation, 1e-10):
         return _fail(f"simulation deviates from the closed form by {deviation:.3e}")
     return 0
 
 
 def cmd_covariance(args) -> int:
     dim = args.dim
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    deviations = []
     for _ in range(args.trials):
         psi = haar_random_state((dim,), rng)
         program = net.program_state(dim, *_random_alpha_beta(dim, rng))
         for n in range(dim):
             for m in range(dim):
-                worst = max(worst, net.covariance_check(psi, program, n, m))
+                deviations.append(net.covariance_check(psi, program, n, m))
+    worst = _worst(deviations)
     _emit_doc({"dim": dim, "trials": args.trials, "seed": args.seed, "max_deviation": worst}, args)
-    if worst > 1e-8:
+    if _exceeds(worst, 1e-8):
         return _fail(f"covariance deviation {worst:.3e} exceeds 1e-8")
     return 0
 
@@ -233,16 +243,10 @@ def cmd_cv(args) -> int:
         alpha = args.alpha
         beta = cv.solve_cv_beta(alpha, xi)
         row = {"xi": xi, "alpha": alpha, "beta": beta}
-        a, b = math.exp(2 * xi), math.exp(-2 * xi)
-        widths = {
-            1: math.exp(-xi),
-            2: math.sqrt(math.cosh(2 * xi)),
-            3: math.sqrt(2 * (a + 3 * b) / (a * a + b * b + 6)),
-        }
         for which in (1, 2, 3):
             # bounds scaled to the kernel width: the integrand can be
             # e^{-xi}-narrow, which an infinite-interval rule may miss
-            bound = 12 * widths[which]
+            bound = 12 * cv._kernel_sigma(which, xi, 1)
             val = quad(
                 lambda e: cv.kernel_eval(which, xi, 0.0, e), -bound, bound, limit=400
             )[0] / math.sqrt(2 * np.pi)
@@ -262,8 +266,8 @@ def cmd_cv(args) -> int:
             row["F1"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=1)
             row["F2"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=2)
             row["method"] = "asymptotic"
-        resid = max(abs(row["k1_residual"]), abs(row["k2_residual"]), abs(row["k3_residual"]))
-        if resid > 1e-6:
+        resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))
+        if _exceeds(resid, 1e-6):
             failed = f"kernel normalisation residual {resid:.3e} at xi={xi}"
         rows.append(row)
     _emit_rows(
@@ -277,6 +281,8 @@ def cmd_cv(args) -> int:
 
 def cmd_coherent_clone(args) -> int:
     z = complex(args.displacement)
+    if not cmath.isfinite(z):
+        raise ValueError(f"displacement must be finite, got {args.displacement!r}")
     out1, out2, out3 = cv.coherent_cloner(cv.GaussianState.coherent(z))
     target = cv.GaussianState.coherent(z)
     anticlone_target = cv.transpose_gaussian(target)
@@ -292,9 +298,9 @@ def cmd_coherent_clone(args) -> int:
         "output_means": [out1.mean, out2.mean, out3.mean],
     }
     _emit_doc(doc, args)
-    if abs(f_clone1 - 2.0 / 3.0) > 1e-9 or abs(f_clone2 - 2.0 / 3.0) > 1e-9:
+    if _exceeds(abs(f_clone1 - 2.0 / 3.0), 1e-9) or _exceeds(abs(f_clone2 - 2.0 / 3.0), 1e-9):
         return _fail(f"clone fidelity {f_clone1!r} differs from 2/3")
-    if abs(f_anti - 0.125) > 1e-9:
+    if _exceeds(abs(f_anti - 0.125), 1e-9):
         return _fail(
             f"anticlone fidelity {f_anti!r} differs from the 1/8 target "
             "(this pipeline yields exactly 1/2; see the test suite)"
@@ -365,6 +371,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, cv.GridResolutionError) as exc:
         return _fail(str(exc))
+    except OverflowError as exc:
+        return _fail(f"numeric overflow: {exc}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,20 @@ Gaussian states are covariance matrices with quadratures interleaved as
 (x1, p1, x2, p2, ...).  The non-Gaussian squeezed-program analysis is done
 on sampled Wigner grids through closed-form reduction kernels; grids are
 only trusted up to ``XI_GRID_MAX`` squeezing, beyond which asymptotic
-expressions take over.
+expressions take over.  A squeezing strength ``xi`` is a plain float; every
+entry point rejects one that is negative or not finite.
+
+Only the output-1 kernel triple is written out.  The output-2 triple is
+derived from it: kernels 1 and 2 swap (pi = (1 <-> 2, 3 fixed)) and phase
+space stretches by s = sqrt(2),
+
+    K(2)_k(xbar, eta) = s * K(1)_pi(k)(xbar / s, s * eta)
+    W(2)_k(x, p)      = s^2 * W(1)_pi(k)(s * x, s * p)
+    chi(2)_k(kappa)   = chi(1)_pi(k)(kappa / s)
+    sigma(2)_k        = sigma(1)_pi(k) / s
+
+so the second output's asymptotic fidelity is the first's with alpha and beta
+swapped and both Gaussian kernel variances halved.
 """
 
 from __future__ import annotations
@@ -30,7 +43,6 @@ from scipy.fft import next_fast_len
 
 __all__ = [
     "XI_GRID_MAX",
-    "SqueezingParam",
     "GridResolutionError",
     "WignerGrid",
     "GaussianState",
@@ -49,11 +61,9 @@ __all__ = [
     "cv_norm_constraint",
     "solve_cv_beta",
     "k3_total_weight",
-    "KernelTriple",
     "kernel_eval",
     "kernel_norm_expected",
     "kernel_wigner_value",
-    "kernel_wigner_k3_asymptotic",
     "kernel_characteristic",
     "kernel_wigner",
     "convolve_with_kernel",
@@ -77,30 +87,11 @@ class GridResolutionError(ValueError):
     """A sampled grid cannot resolve or contain the requested feature."""
 
 
-@dataclass(frozen=True)
-class SqueezingParam:
-    """Squeezing strength xi >= 0 of the regularised program states."""
-
-    xi: float
-
-    def __post_init__(self):
-        if self.xi < 0:
-            raise ValueError(f"squeezing must be nonnegative, got {self.xi}")
-
-    @property
-    def nbar(self) -> float:
-        """Mean excitation number sinh(xi)^2."""
-        return math.sinh(self.xi) ** 2
-
-    @property
-    def grid_safe(self) -> bool:
-        return self.xi <= XI_GRID_MAX
-
-
-def _as_xi(value: float | SqueezingParam) -> float:
-    xi = value.xi if isinstance(value, SqueezingParam) else float(value)
-    if xi < 0:
-        raise ValueError(f"squeezing must be nonnegative, got {xi}")
+def _as_xi(value: float) -> float:
+    """Validate a squeezing strength: a finite float xi >= 0."""
+    xi = float(value)
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ValueError(f"squeezing must be finite and nonnegative, got {xi}")
     return xi
 
 
@@ -222,7 +213,7 @@ class WignerGrid:
         json.dump(doc, stream)
 
 
-def suggested_half_width(xi: float | SqueezingParam, input_sigma: float = math.sqrt(0.5)) -> float:
+def suggested_half_width(xi: float, input_sigma: float = math.sqrt(0.5)) -> float:
     """Half-width covering 8 standard deviations of the broadest state present
     in an output-distribution pipeline (input convolved with the thermal-like
     kernel)."""
@@ -374,7 +365,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def regularized_x0(xi: float | SqueezingParam) -> GaussianState:
+def regularized_x0(xi: float) -> GaussianState:
     """Squeezed surrogate of the zero-position eigenstate.
 
     Variances: Var(x) = e^{-2 xi}/2, Var(p) = e^{2 xi}/2.
@@ -383,13 +374,13 @@ def regularized_x0(xi: float | SqueezingParam) -> GaussianState:
     return GaussianState(np.zeros(2), np.diag([b / 2, a / 2]))
 
 
-def regularized_p0(xi: float | SqueezingParam) -> GaussianState:
+def regularized_p0(xi: float) -> GaussianState:
     """Squeezed surrogate of the zero-momentum eigenstate."""
     a, b = _ab(_as_xi(xi))
     return GaussianState(np.zeros(2), np.diag([a / 2, b / 2]))
 
 
-def regularized_epr(xi: float | SqueezingParam) -> GaussianState:
+def regularized_epr(xi: float) -> GaussianState:
     """Two-mode squeezed vacuum: Var(x1 - x2) = Var(p1 + p2) = e^{-2 xi}."""
     xi = _as_xi(xi)
     c, s = math.cosh(2 * xi), math.sinh(2 * xi)
@@ -404,31 +395,31 @@ def regularized_epr(xi: float | SqueezingParam) -> GaussianState:
     return GaussianState(np.zeros(4), cov)
 
 
-def thermal_reduction(xi: float | SqueezingParam) -> GaussianState:
+def thermal_reduction(xi: float) -> GaussianState:
     """One mode of the two-mode squeezed vacuum: thermal with nbar = sinh^2 xi."""
     return regularized_epr(xi).reduce(0)
 
 
-def x0_wavefunction(xi: float | SqueezingParam, x: np.ndarray) -> np.ndarray:
+def x0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
     """Wavefunction of :func:`regularized_x0` (integral |phi|^2 dx = sqrt(2 pi))."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(xi / 2) * np.exp(-math.exp(2 * xi) * np.asarray(x) ** 2 / 2)
 
 
-def p0_wavefunction(xi: float | SqueezingParam, x: np.ndarray) -> np.ndarray:
+def p0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
     """Wavefunction of :func:`regularized_p0`."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(-xi / 2) * np.exp(-math.exp(-2 * xi) * np.asarray(x) ** 2 / 2)
 
 
-def epr_wavefunction(xi: float | SqueezingParam, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def epr_wavefunction(xi: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Two-mode wavefunction of :func:`regularized_epr`."""
     a, b = _ab(_as_xi(xi))
     x1, x2 = np.asarray(x1), np.asarray(x2)
     return math.sqrt(2) * np.exp(-(a / 4) * (x1 - x2) ** 2 - (b / 4) * (x1 + x2) ** 2)
 
 
-def cv_norm_constraint(alpha: float, beta: float, xi: float | SqueezingParam) -> float:
+def cv_norm_constraint(alpha: float, beta: float, xi: float) -> float:
     """Residual alpha^2 + beta^2 + 4 alpha beta / sqrt(4 + 2 sinh^2 2 xi) - 1.
 
     Zero when (alpha, beta) normalise the superposed program state; the
@@ -437,7 +428,7 @@ def cv_norm_constraint(alpha: float, beta: float, xi: float | SqueezingParam) ->
     return alpha**2 + beta**2 + alpha * beta * k3_total_weight(xi) - 1.0
 
 
-def solve_cv_beta(alpha: float, xi: float | SqueezingParam) -> float:
+def solve_cv_beta(alpha: float, xi: float) -> float:
     """Nonnegative beta completing ``alpha`` under the normalisation constraint."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -446,42 +437,11 @@ def solve_cv_beta(alpha: float, xi: float | SqueezingParam) -> float:
     return max(beta, 0.0)
 
 
-def k3_total_weight(xi: float | SqueezingParam) -> float:
+def k3_total_weight(xi: float) -> float:
     """4 / sqrt(4 + 2 sinh^2 2 xi): the cross-kernel weight, equal to twice
     the overlap of the entangled and product program branches."""
     xi = _as_xi(xi)
     return 4.0 / math.sqrt(4.0 + 2.0 * math.sinh(2 * xi) ** 2)
-
-
-@dataclass(frozen=True)
-class KernelTriple:
-    """Validated (xi, alpha, beta) parameter set of the kernel decomposition.
-
-    Construction enforces the continuous normalisation constraint; use the
-    raw alpha/beta arguments of :func:`output_wigner` for deliberately
-    unconstrained scans.
-    """
-
-    xi: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", _as_xi(self.xi))
-        residual = cv_norm_constraint(self.alpha, self.beta, self.xi)
-        if abs(residual) > 1e-10:
-            raise ValueError(
-                f"(alpha, beta) violate the normalisation constraint by {residual:.3e}"
-            )
-
-    @classmethod
-    def from_alpha(cls, alpha: float, xi: float | SqueezingParam) -> "KernelTriple":
-        return cls(_as_xi(xi), alpha, solve_cv_beta(alpha, xi))
-
-    @property
-    def weights(self) -> tuple[float, float, float]:
-        """Kernel weights (alpha^2, beta^2, alpha*beta)."""
-        return (self.alpha**2, self.beta**2, self.alpha * self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +451,10 @@ class KernelTriple:
 # operator of the form
 #     rho(y, y') = (1/sqrt(2 pi)) * integral K(y - y'; eta) psi(y - eta)
 #                  psi*(y' - eta) d eta
-# with K = alpha^2 K1 + beta^2 K2 + alpha beta K3.  The same structure holds
-# for the second output with a different kernel triple (``output=2``); slot
-# conventions below are always (xbar, eta) = (matrix-element difference,
-# displacement).
+# with K = alpha^2 K1 + beta^2 K2 + alpha beta K3; slot conventions are
+# always (xbar, eta) = (matrix-element difference, displacement).  The
+# output-2 triple is derived from the output-1 one by the identities in the
+# module docstring.
 # ---------------------------------------------------------------------------
 
 
@@ -504,164 +464,128 @@ def _check_which(which: int) -> int:
     return which
 
 
+def _output1_kernel(which: int, output: int) -> tuple[int, float]:
+    """(output-1 kernel, stretch s) from which kernel ``which`` of
+    ``output`` is derived."""
+    which = _check_which(which)
+    if output == 1:
+        return which, 1.0
+    if output == 2:
+        return (2, 1, 3)[which - 1], math.sqrt(2)
+    raise ValueError(f"output must be 1 or 2, got {output!r}")
+
+
 def kernel_eval(
-    which: int,
-    xi: float | SqueezingParam,
-    xbar: np.ndarray,
-    eta: np.ndarray,
-    output: int = 1,
+    which: int, xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
 ) -> np.ndarray:
-    """Closed-form reduction kernels K1, K2, K3 (and the output-2 triple).
+    """Closed-form reduction kernels K1, K2, K3 of either output.
 
     The cross kernel K3 has even/odd structure exp(+c*xbar*eta) +
     exp(-c*xbar*eta); the product xbar*eta in the exponent is what direct
     quadrature of the defining integral yields.
     """
-    which = _check_which(which)
+    which, s = _output1_kernel(which, output)
     xi = _as_xi(xi)
     a, b = _ab(xi)
-    xbar, eta = np.asarray(xbar, dtype=float), np.asarray(eta, dtype=float)
-    if output == 1:
-        if which == 1:
-            return math.exp(xi) * np.exp(-b * xbar**2 / 2 - a * eta**2 / 2)
-        if which == 2:
-            c = math.cosh(2 * xi)
-            return np.exp(-c * xbar**2 / 2 - eta**2 / (2 * c)) / math.sqrt(c)
+    xbar = np.asarray(xbar, dtype=float) / s
+    eta = np.asarray(eta, dtype=float) * s
+    if which == 1:
+        k = math.exp(xi) * np.exp(-b * xbar**2 / 2 - a * eta**2 / 2)
+    elif which == 2:
+        c = math.cosh(2 * xi)
+        k = np.exp(-c * xbar**2 / 2 - eta**2 / (2 * c)) / math.sqrt(c)
+    else:
         d = a + 3 * b
-        return (
+        k = (
             (2 / math.sqrt(d))
             * np.exp(-(1 + b * b) * xbar**2 / d - (a * a + b * b + 6) * eta**2 / (4 * d))
             * 2 * np.cosh(b * (a - b) * xbar * eta / d)
         )
-    if output == 2:
-        if which == 1:
-            return (2 / math.sqrt(a + b)) * np.exp(
-                -2 * eta**2 / (a + b) - (a + b) * xbar**2 / 8
-            )
-        if which == 2:
-            return math.sqrt(2) * math.exp(xi) * np.exp(-a * eta**2 - b * xbar**2 / 4)
-        d = a + 3 * b
-        return (
-            (2 * math.sqrt(2) / math.sqrt(d))
-            * np.exp(
-                -(a * a + b * b + 6) * eta**2 / (2 * d) - (1 + b * b) * xbar**2 / (2 * d)
-            )
-            * 2 * np.cosh(b * (a - b) * xbar * eta / d)
-        )
-    raise ValueError(f"output must be 1 or 2, got {output!r}")
+    return s * k
 
 
-def kernel_norm_expected(which: int, xi: float | SqueezingParam) -> float:
+def kernel_norm_expected(which: int, xi: float) -> float:
     """Expected value of (1/sqrt(2 pi)) * integral K(0; eta) d eta."""
     which = _check_which(which)
     return 1.0 if which in (1, 2) else k3_total_weight(xi)
 
 
 def kernel_wigner_value(
-    which: int, xi: float | SqueezingParam, x: np.ndarray, p: np.ndarray, output: int = 1
+    which: int, xi: float, x: np.ndarray, p: np.ndarray, output: int = 1
 ) -> np.ndarray:
     """Closed-form Wigner functions of the reduction kernels.
 
     The Gaussian kernels give isotropic Gaussians; the cross kernel gives an
     isotropic Gaussian times cos(c * x * p), which may dip negative.
     """
-    which = _check_which(which)
+    which, s = _output1_kernel(which, output)
     xi = _as_xi(xi)
     a, b = _ab(xi)
-    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-    if output == 1:
-        if which == 1:
-            return a * np.exp(-a * (x**2 + p**2) / 2)
-        if which == 2:
-            c = math.cosh(2 * xi)
-            return np.exp(-(x**2 + p**2) / (2 * c)) / c
+    x = s * np.asarray(x, dtype=float)
+    p = s * np.asarray(p, dtype=float)
+    if which == 1:
+        w = a * np.exp(-a * (x**2 + p**2) / 2)
+    elif which == 2:
+        c = math.cosh(2 * xi)
+        w = np.exp(-(x**2 + p**2) / (2 * c)) / c
+    else:
         d = a + 3 * b
         one_b2 = 1 + b * b
-        return (
+        w = (
             (4 / math.sqrt(2 * one_b2))
             * np.exp(-d * (x**2 + p**2) / (4 * one_b2))
             * np.cos(b * (a - b) * x * p / (2 * one_b2))
         )
-    if output == 2:
-        if which == 1:
-            return (4 / (a + b)) * np.exp(-2 * (x**2 + p**2) / (a + b))
-        if which == 2:
-            return 2 * a * np.exp(-a * (x**2 + p**2))
-        return 2.0 * kernel_wigner_value(3, xi, math.sqrt(2) * x, math.sqrt(2) * p)
-    raise ValueError(f"output must be 1 or 2, got {output!r}")
-
-
-def kernel_wigner_k3_asymptotic(
-    xi: float | SqueezingParam, x: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Large-squeezing form of the cross-kernel Wigner function,
-    2*sqrt(2) * exp(-e^{2 xi} (x^2 + p^2) / 4)."""
-    a = math.exp(2 * _as_xi(xi))
-    return 2 * math.sqrt(2) * np.exp(-a * (np.asarray(x) ** 2 + np.asarray(p) ** 2) / 4)
+    return s * s * w
 
 
 def kernel_characteristic(
-    which: int, xi: float | SqueezingParam, kx: np.ndarray, kp: np.ndarray, output: int = 1
+    which: int, xi: float, kx: np.ndarray, kp: np.ndarray, output: int = 1
 ) -> np.ndarray:
     """Fourier transform iint W(x, p) exp(-i(kx x + kp p)) dx dp of the
     kernel Wigner functions, in closed form (used by the convolution path so
     narrow kernels never need real-space sampling)."""
-    which = _check_which(which)
+    which, s = _output1_kernel(which, output)
     xi = _as_xi(xi)
     a, b = _ab(xi)
-    kx, kp = np.asarray(kx, dtype=float), np.asarray(kp, dtype=float)
+    kx = np.asarray(kx, dtype=float) / s
+    kp = np.asarray(kp, dtype=float) / s
     two_pi = 2 * np.pi
-    if output == 1:
-        if which == 1:
-            return two_pi * np.exp(-b * (kx**2 + kp**2) / 2)
-        if which == 2:
-            return two_pi * np.exp(-math.cosh(2 * xi) * (kx**2 + kp**2) / 2)
-        d = a + 3 * b
-        c = (a * a + b * b + 6) / (4 * d)
-        g = b * (a - b) * kp / d
-        return (
-            math.sqrt(two_pi)
-            * (4 / math.sqrt(d))
-            * np.exp(-(1 + b * b) * kp**2 / d)
-            * math.sqrt(np.pi / c)
-            * np.exp((g * g - kx**2) / (4 * c))
-            * np.cos(g * kx / (2 * c))
-        )
-    if output == 2:
-        if which == 1:
-            return two_pi * np.exp(-math.cosh(2 * xi) * (kx**2 + kp**2) / 4)
-        if which == 2:
-            return two_pi * np.exp(-b * (kx**2 + kp**2) / 4)
-        return kernel_characteristic(3, xi, kx / math.sqrt(2), kp / math.sqrt(2))
-    raise ValueError(f"output must be 1 or 2, got {output!r}")
+    if which == 1:
+        return two_pi * np.exp(-b * (kx**2 + kp**2) / 2)
+    if which == 2:
+        return two_pi * np.exp(-math.cosh(2 * xi) * (kx**2 + kp**2) / 2)
+    d = a + 3 * b
+    c = (a * a + b * b + 6) / (4 * d)
+    g = b * (a - b) * kp / d
+    return (
+        math.sqrt(two_pi)
+        * (4 / math.sqrt(d))
+        * np.exp(-(1 + b * b) * kp**2 / d)
+        * math.sqrt(np.pi / c)
+        * np.exp((g * g - kx**2) / (4 * c))
+        * np.cos(g * kx / (2 * c))
+    )
 
 
 def _kernel_sigma(which: int, xi: float, output: int) -> float:
     """Per-quadrature standard deviation of a kernel Wigner function
     (Gaussian part for the cross kernel)."""
+    which, s = _output1_kernel(which, output)
     a, b = _ab(xi)
-    if output == 1:
-        return {
-            1: math.sqrt(b),
-            2: math.sqrt(math.cosh(2 * xi)),
-            3: math.sqrt(2 * (1 + b * b) / (a + 3 * b)),
-        }[which]
-    return {
-        1: math.sqrt(math.cosh(2 * xi) / 2),
-        2: math.sqrt(b / 2),
-        3: math.sqrt((1 + b * b) / (a + 3 * b)),
+    sigma = {
+        1: math.sqrt(b),
+        2: math.sqrt(math.cosh(2 * xi)),
+        3: math.sqrt(2 * (1 + b * b) / (a + 3 * b)),
     }[which]
+    return sigma / s
 
 
-def kernel_wigner(
-    which: int, xi: float | SqueezingParam, grid: WignerGrid, output: int = 1
-) -> WignerGrid:
-    """Sample a kernel Wigner function on ``grid``'s lattice.
+def kernel_wigner(which: int, xi: float, grid: WignerGrid, output: int = 1) -> WignerGrid:
+    """Sample a kernel Wigner function on ``grid``'s lattice from its closed
+    form.
 
-    The Gaussian kernels are sampled from their closed forms; the cross
-    kernel is computed by a numerical cosine transform of
-    :func:`kernel_eval` over the difference slot.  Raises
-    :class:`GridResolutionError` when the lattice cannot resolve the
+    Raises :class:`GridResolutionError` when the lattice cannot resolve the
     e^{-xi}-narrow widths or contain the e^{xi}-wide ones.
     """
     which = _check_which(which)
@@ -682,23 +606,8 @@ def kernel_wigner(
         raise GridResolutionError(
             f"kernel width {sigma:.3g} does not fit in grid half-range {half:.3g}"
         )
-    if which in (1, 2):
-        xg, pg = grid.meshgrid()
-        return grid.like(kernel_wigner_value(which, xi, xg, pg, output=output))
-    # cross kernel: W(x, p) = (1/sqrt(2 pi)) * integral K3(z; x) cos(p z) dz
-    a, b = _ab(xi)
-    d = a + 3 * b
-    sig_z = math.sqrt(d / (2 * (1 + b * b)))
-    p_max = max(abs(grid.p_min), abs(grid.p_max))
-    dz = min(sig_z / 6, np.pi / (4 * p_max + 1e-12))
-    z = np.arange(0.0, 8 * sig_z, dz)
-    # even integrand: integral = 2 * sum over z >= 0 (half-weight at z = 0)
-    weights = np.full(z.size, 2.0 * dz)
-    weights[0] = dz
-    kmat = kernel_eval(3, xi, z[None, :], grid.x[:, None], output=output)
-    cosmat = np.cos(np.outer(z, grid.p))
-    vals = (kmat * weights[None, :]) @ cosmat / math.sqrt(2 * np.pi)
-    return grid.like(vals)
+    xg, pg = grid.meshgrid()
+    return grid.like(kernel_wigner_value(which, xi, xg, pg, output=output))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +615,7 @@ def kernel_wigner(
 # ---------------------------------------------------------------------------
 
 
-def convolve_with_kernel(
-    grid: WignerGrid, which: int, xi: float | SqueezingParam, output: int = 1
-) -> WignerGrid:
+def convolve_with_kernel(grid: WignerGrid, which: int, xi: float, output: int = 1) -> WignerGrid:
     """(1/2pi) * (W conv W^kernel) on the input lattice.
 
     Runs in Fourier space against the closed-form kernel characteristic
@@ -741,11 +648,7 @@ def convolve_with_kernel(
 
 
 def output_wigner(
-    input_grid: WignerGrid,
-    xi: float | SqueezingParam,
-    alpha: float,
-    beta: float,
-    output: int = 1,
+    input_grid: WignerGrid, xi: float, alpha: float, beta: float, output: int = 1
 ) -> WignerGrid:
     """Wigner function of a distributor output for a sampled input.
 
@@ -762,21 +665,20 @@ def output_wigner(
         raise ValueError(f"output must be 1 or 2, got {output!r}")
     # kernel 1 always carries the alpha^2 weight, kernel 2 the beta^2 weight;
     # the output-2 triple already encodes the role reversal of the two modes
+    weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
     if xi <= XI_GRID_MAX:
         out = np.zeros_like(input_grid.values)
-        for which, weight in ((1, alpha * alpha), (2, beta * beta), (3, alpha * beta)):
+        for which, weight in weights.items():
             if weight != 0.0:
                 out += weight * convolve_with_kernel(input_grid, which, xi, output=output).values
         return input_grid.like(out)
     # asymptotic regime: the narrow kernel acts as the identity and the cross
     # kernel as a 4*sqrt(2)*e^{-2 xi} passthrough
-    stay = alpha * alpha if output == 1 else beta * beta
-    smear = beta * beta if output == 1 else alpha * alpha
-    wide_kernel = 2 if output == 1 else 1
-    out = stay * input_grid.values
+    wide = max((1, 2), key=lambda which: _kernel_sigma(which, xi, output))
+    out = weights[3 - wide] * input_grid.values
     out = out + 4 * math.sqrt(2) * math.exp(-2 * xi) * alpha * beta * input_grid.values
-    if smear != 0.0:
-        out = out + smear * convolve_with_kernel(input_grid, wide_kernel, xi, output=output).values
+    if weights[wide] != 0.0:
+        out = out + weights[wide] * convolve_with_kernel(input_grid, wide, xi, output=output).values
     return input_grid.like(out)
 
 
@@ -789,25 +691,17 @@ def cv_fidelity(w_in: WignerGrid, w_out: WignerGrid) -> float:
     return float((w_in.values * w_out.values).sum() * w_in.dx * w_in.dp / (2 * np.pi))
 
 
-def cv_fidelity_asymptotic(
-    xi: float | SqueezingParam, alpha: float, beta: float, output: int = 1
-) -> float:
+def cv_fidelity_asymptotic(xi: float, alpha: float, beta: float, output: int = 1) -> float:
     """Closed-form output fidelity for a vacuum (or any coherent) input.
 
-    Gaussian overlaps are exact; the cross term uses its large-squeezing
-    passthrough weight, accurate to O(e^{-4 xi}).
+    Gaussian overlaps are exact: smearing a vacuum by a kernel of
+    per-quadrature variance sigma^2 leaves overlap 1 / (1 + sigma^2).  The
+    cross term uses its large-squeezing passthrough weight, accurate to
+    O(e^{-4 xi}).
     """
     xi = _as_xi(xi)
-    b = math.exp(-2 * xi)
-    if output == 1:
-        stay = 1.0 / (1.0 + b)
-        smear = 1.0 / (1.0 + math.cosh(2 * xi))
-        return alpha**2 * stay + beta**2 * smear + alpha * beta * k3_total_weight(xi)
-    if output == 2:
-        stay = 1.0 / (1.0 + b / 2)
-        smear = 2.0 / (2.0 + math.cosh(2 * xi))
-        return beta**2 * stay + alpha**2 * smear + alpha * beta * k3_total_weight(xi)
-    raise ValueError(f"output must be 1 or 2, got {output!r}")
+    overlap = {which: 1.0 / (1.0 + _kernel_sigma(which, xi, output) ** 2) for which in (1, 2)}
+    return alpha**2 * overlap[1] + beta**2 * overlap[2] + alpha * beta * k3_total_weight(xi)
 
 
 # ---------------------------------------------------------------------------

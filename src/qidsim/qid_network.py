@@ -98,12 +98,6 @@ class PermutationGate:
         out[self.perm] = state.amplitudes
         return PureState(state.dims, out)
 
-    def map_triple(self, n: int, m: int, k: int) -> tuple[int, int, int]:
-        """Image of the basis triple (n, m, k)."""
-        d = self.dim
-        dest = int(self.perm[(n * d + m) * d + k])
-        return (dest // (d * d), (dest // d) % d, dest % d)
-
 
 def build_qid_unitary(dim: int) -> PermutationGate:
     """Distributor unitary as a basis permutation.

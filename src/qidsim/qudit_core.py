@@ -26,8 +26,6 @@ __all__ = [
     "fourier_operator",
     "shift_x",
     "shift_p",
-    "x_operator",
-    "p_operator",
     "entangled_state",
     "partial_trace",
     "fidelity",
@@ -182,9 +180,6 @@ class Operator:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def dagger(self) -> "Operator":
-        return Operator(self.dims, self.matrix.conj().T)
-
     def apply(self, state: PureState) -> PureState:
         """Apply to a state spanning exactly the operator's registers."""
         if state.dims != self.dims:
@@ -227,19 +222,6 @@ def shift_p(dim: int, m: int) -> Operator:
     d = validate_dim(dim)
     mat = np.diag(np.exp(2j * np.pi * int(m) * np.arange(d) / d))
     return Operator((d,), mat, check_unitary=True)
-
-
-def x_operator(dim: int) -> Operator:
-    """Position label operator, diag(0, 1, ..., N-1)."""
-    d = validate_dim(dim)
-    return Operator((d,), np.diag(np.arange(d).astype(complex)))
-
-
-def p_operator(dim: int) -> Operator:
-    """Momentum label operator F X F^dag."""
-    f = fourier_operator(dim).matrix
-    xop = x_operator(dim).matrix
-    return Operator((dim,), f @ xop @ f.conj().T)
 
 
 def entangled_state(dim: int, m: int, n: int) -> PureState:

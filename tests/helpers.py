@@ -1,0 +1,51 @@
+"""Test-only helpers: operators and index maps the library itself does not
+need, and a numerical oracle for the closed-form kernel Wigner functions."""
+
+import math
+
+import numpy as np
+
+from qidsim.cv_gaussian import WignerGrid, kernel_eval
+from qidsim.qid_network import PermutationGate
+from qidsim.qudit_core import Operator, fourier_operator, validate_dim
+
+
+def x_operator(dim: int) -> Operator:
+    """Position label operator, diag(0, 1, ..., N-1)."""
+    d = validate_dim(dim)
+    return Operator((d,), np.diag(np.arange(d).astype(complex)))
+
+
+def p_operator(dim: int) -> Operator:
+    """Momentum label operator F X F^dag."""
+    f = fourier_operator(dim).matrix
+    return Operator((dim,), f @ x_operator(dim).matrix @ f.conj().T)
+
+
+def map_triple(gate: PermutationGate, n: int, m: int, k: int) -> tuple[int, int, int]:
+    """Image of the basis triple (n, m, k) under a permutation gate."""
+    d = gate.dim
+    dest = int(gate.perm[(n * d + m) * d + k])
+    return (dest // (d * d), (dest // d) % d, dest % d)
+
+
+def kernel_wigner_by_cosine_transform(
+    which: int, xi: float, grid: WignerGrid, output: int = 1
+) -> WignerGrid:
+    """Kernel Wigner function on ``grid``'s lattice by a numerical cosine
+    transform of :func:`kernel_eval` over the difference slot,
+
+        W(x, p) = (1/sqrt(2 pi)) * integral K(z; x) cos(p z) dz.
+
+    Every kernel is even in z, so the integral is twice a Riemann sum over
+    z >= 0 with half weight at z = 0.  Over both outputs the kernels' widths
+    in z lie between e^{-xi} and sqrt(2) * e^{xi}.
+    """
+    p_max = max(abs(grid.p_min), abs(grid.p_max))
+    dz = min(math.exp(-xi) / 6, np.pi / (4 * p_max))
+    z = np.arange(0.0, 10 * math.sqrt(2) * math.exp(xi), dz)
+    weights = np.full(z.size, 2.0 * dz)
+    weights[0] = dz
+    kmat = kernel_eval(which, xi, z[None, :], grid.x[:, None], output=output)
+    cosmat = np.cos(np.outer(z, grid.p))
+    return grid.like((kmat * weights[None, :]) @ cosmat / math.sqrt(2 * np.pi))

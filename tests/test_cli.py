@@ -1,7 +1,7 @@
 import json
 import math
 
-from qidsim.cli import main
+from qidsim.cli import _exceeds, main
 
 
 def run_cli(capsys, *argv):
@@ -196,3 +196,40 @@ class TestOutputHandling:
         code, _, err = run_cli(capsys, "clone", "--dim", "1")
         assert code == 1
         assert "dimension" in err
+
+
+class TestBadInput:
+    """Bad input is rejected where it enters: an error line and exit 1."""
+
+    def test_non_finite_squeezing(self, capsys):
+        for xi in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "cv", "--xi", xi)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "squeezing" in err
+
+    def test_overflowing_squeezing(self, capsys):
+        code, out, err = run_cli(capsys, "cv", "--xi", "400")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
+    def test_covariance_needs_a_trial(self, capsys):
+        for trials in ("0", "-1"):
+            code, out, err = run_cli(capsys, "covariance", "--dim", "2", "--trials", trials)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "--trials" in err
+
+    def test_non_finite_displacement(self, capsys):
+        for z in ("nan", "inf", "1+nanj"):
+            code, out, err = run_cli(capsys, "coherent-clone", "--displacement", z)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "displacement" in err
+
+    def test_gates_fail_on_nan(self):
+        assert _exceeds(math.nan, 1e-9)
+        assert _exceeds(math.inf, 1e-9)
+        assert _exceeds(1e-8, 1e-9)
+        assert not _exceeds(1e-10, 1e-9)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import qidsim.cv_gaussian as cv
 from qidsim.cv_gaussian import (
     GaussianState,
     GridResolutionError,
-    SqueezingParam,
     WignerGrid,
     apply_symplectic,
     cloner_program_gaussian,
@@ -24,7 +22,6 @@ from qidsim.cv_gaussian import (
     kernel_eval,
     kernel_norm_expected,
     kernel_wigner,
-    kernel_wigner_k3_asymptotic,
     kernel_wigner_value,
     output_wigner,
     p0_wavefunction,
@@ -41,6 +38,8 @@ from qidsim.cv_gaussian import (
     transpose_gaussian,
     x0_wavefunction,
 )
+
+from helpers import kernel_wigner_by_cosine_transform
 
 VACUUM = GaussianState.vacuum()
 
@@ -214,13 +213,12 @@ class TestRegularizedStates:
             norm = quad(lambda x: wf(x) ** 2, -40, 40, limit=200)[0]
             assert abs(norm - math.sqrt(2 * np.pi)) < 1e-9
 
-    def test_squeezing_param(self):
-        param = SqueezingParam(1.0)
-        assert abs(param.nbar - math.sinh(1.0) ** 2) < 1e-15
-        assert param.grid_safe
-        assert not SqueezingParam(3.5).grid_safe
-        with pytest.raises(ValueError):
-            SqueezingParam(-0.1)
+    def test_rejects_bad_squeezing(self):
+        for xi in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                regularized_x0(xi)
+            with pytest.raises(ValueError):
+                kernel_eval(1, xi, 0.0, 0.0)
 
 
 class TestNormalisationConstraint:
@@ -245,15 +243,6 @@ class TestNormalisationConstraint:
 
     def test_cross_weight_value(self):
         assert abs(k3_total_weight(0.0) - 2.0) < 1e-15
-
-    def test_kernel_triple_validates_and_exposes_weights(self):
-        triple = cv.KernelTriple.from_alpha(0.6, 1.0)
-        assert abs(cv_norm_constraint(triple.alpha, triple.beta, triple.xi)) < 1e-12
-        w1, w2, w3 = triple.weights
-        assert abs(w1 - 0.36) < 1e-12
-        assert abs(w3 - triple.alpha * triple.beta) < 1e-15
-        with pytest.raises(ValueError):
-            cv.KernelTriple(1.0, 0.9, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +320,17 @@ class TestKernelWigner:
         sampled = kernel_wigner(2, xi, grid)
         assert abs(sampled.total_mass() - 1.0) < 1e-6
 
-    def test_cross_kernel_grid_matches_closed_form(self):
+    def test_kernel_grids_match_cosine_transform(self):
+        # the closed forms, output 2's derived ones included, against a
+        # numerical transform of kernel_eval, which the defining-integral
+        # tests pin for both outputs
         xi = 1.0
-        sig = math.sqrt(2 * (1 + math.exp(-4 * xi)) / (math.exp(2 * xi) + 3 * math.exp(-2 * xi)))
-        grid = WignerGrid.centered(8 * sig, 257)
-        sampled = kernel_wigner(3, xi, grid)
-        xg, pg = grid.meshgrid()
-        closed = kernel_wigner_value(3, xi, xg, pg)
-        assert np.abs(sampled.values - closed).max() < 1e-8
+        grid = WignerGrid.centered(9.0, 241)
+        for output in (1, 2):
+            for which in (1, 2, 3):
+                sampled = kernel_wigner(which, xi, grid, output=output).values
+                numeric = kernel_wigner_by_cosine_transform(which, xi, grid, output=output).values
+                assert np.abs(sampled - numeric).max() < 1e-12 * np.abs(numeric).max()
 
     def test_cross_kernel_total_weight(self):
         for xi in (0.0, 1.0, 2.0):
@@ -359,7 +351,8 @@ class TestKernelWigner:
         xi = 3.0
         xs = np.linspace(-0.2, 0.2, 7)
         exact = kernel_wigner_value(3, xi, xs, xs[::-1])
-        asym = kernel_wigner_k3_asymptotic(xi, xs, xs[::-1])
+        # large-squeezing form 2*sqrt(2) * exp(-e^{2 xi} (x^2 + p^2) / 4)
+        asym = 2 * math.sqrt(2) * np.exp(-math.exp(2 * xi) * (xs**2 + xs[::-1] ** 2) / 4)
         assert np.abs(exact - asym).max() < 2e-3 * np.abs(exact).max()
 
     def test_characteristic_functions_match_numeric_transform(self):

@@ -30,6 +30,8 @@ from qidsim.qudit_core import (
     shift_x,
 )
 
+from helpers import map_triple
+
 
 def swap_target_state(psi: PureState) -> PureState:
     """|Psi>_2 |Xi_00>_13 written in register order (1, 2, 3)."""
@@ -60,13 +62,13 @@ class TestConditionalShifts:
 
 class TestDistributorUnitary:
     def test_triple_map_example(self):
-        assert build_qid_unitary(3).map_triple(1, 0, 2) == (0, 1, 0)
+        assert map_triple(build_qid_unitary(3), 1, 0, 2) == (0, 1, 0)
 
     def test_zero_control_row(self):
         gate = build_qid_unitary(4)
         for m in range(4):
             for k in range(4):
-                assert gate.map_triple(0, m, k) == ((k - m) % 4, m, k)
+                assert map_triple(gate, 0, m, k) == ((k - m) % 4, m, k)
 
     @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6))
     def test_matches_gate_sequence(self, dim):

@@ -10,13 +10,13 @@ from qidsim.qudit_core import (
     fourier_operator,
     haar_random_state,
     negativity,
-    p_operator,
     partial_trace,
     shift_p,
     shift_x,
     transpose_op,
-    x_operator,
 )
+
+from helpers import p_operator, x_operator
 
 
 def brute_force_reduction(state: PureState, keep) -> np.ndarray:
@@ -158,8 +158,8 @@ class TestEntangledBasis:
             entangled_state(3, 0, -1)
 
     def test_label_operators_exist(self):
-        # diag(0..N-1) in each basis; used by callers exploring the
-        # eigenvalue structure directly
+        # diag(0..N-1) in each basis: the Fourier operator maps the x-basis
+        # labels onto the momentum-like ones
         d = 4
         assert np.abs(x_operator(d).matrix - np.diag(np.arange(d))).max() < 1e-12
         pop = p_operator(d).matrix
