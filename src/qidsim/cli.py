@@ -257,11 +257,21 @@ def cmd_cv(args) -> int:
                 cv.WignerGrid.centered(cv.suggested_half_width(xi), args.grid)
             )
             out1 = cv.output_wigner(grid, xi, alpha, beta, output=1)
+            out2 = cv.output_wigner(grid, xi, alpha, beta, output=2)
             row["F1"] = cv.cv_fidelity(grid, out1)
-            row["F2"] = cv.cv_fidelity(grid, cv.output_wigner(grid, xi, alpha, beta, output=2))
+            row["F2"] = cv.cv_fidelity(grid, out2)
             row["method"] = "grid"
             if args.dump_wigner:
                 _dump_wigner_grid(out1, xi, args)
+            # a lattice too coarse or too small for the input or the
+            # broadened outputs loses mass, and its fidelities are wrong
+            masses = [w.total_mass() for w in (grid, out1, out2)]
+            mass_error = _worst(abs(m - 1.0) for m in masses)
+            if _exceeds(mass_error, 1e-6):
+                failed = (
+                    f"--grid {args.grid} cannot resolve xi={xi}: Riemann mass of input, "
+                    f"output 1, output 2 = {', '.join(f'{m:.6g}' for m in masses)}, not 1"
+                )
         else:
             row["F1"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=1)
             row["F2"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=2)

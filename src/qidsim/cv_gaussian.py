@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 __all__ = [
     "XI_GRID_MAX",
@@ -544,26 +545,28 @@ def kernel_characteristic(
 ) -> np.ndarray:
     """Fourier transform iint W(x, p) exp(-i(kx x + kp p)) dx dp of the
     kernel Wigner functions, in closed form (used by the convolution path so
-    narrow kernels never need real-space sampling)."""
+    narrow kernels never need real-space sampling).
+
+    Every exponential is evaluated on ``kx`` and ``kp`` alone and broadcast
+    together, so passing a column of ``kx`` and a row of ``kp`` costs one
+    2-D product (and one 2-D cosine for the cross kernel).
+    """
     which, s = _output1_kernel(which, output)
     xi = _as_xi(xi)
     a, b = _ab(xi)
     kx = np.asarray(kx, dtype=float) / s
     kp = np.asarray(kp, dtype=float) / s
     two_pi = 2 * np.pi
-    if which == 1:
-        return two_pi * np.exp(-b * (kx**2 + kp**2) / 2)
-    if which == 2:
-        return two_pi * np.exp(-math.cosh(2 * xi) * (kx**2 + kp**2) / 2)
+    if which in (1, 2):
+        var = b if which == 1 else math.cosh(2 * xi)
+        return (two_pi * np.exp(-var * kx**2 / 2)) * np.exp(-var * kp**2 / 2)
     d = a + 3 * b
     c = (a * a + b * b + 6) / (4 * d)
     g = b * (a - b) * kp / d
+    scale = math.sqrt(two_pi) * (4 / math.sqrt(d)) * math.sqrt(np.pi / c)
     return (
-        math.sqrt(two_pi)
-        * (4 / math.sqrt(d))
-        * np.exp(-(1 + b * b) * kp**2 / d)
-        * math.sqrt(np.pi / c)
-        * np.exp((g * g - kx**2) / (4 * c))
+        (scale * np.exp(-kx**2 / (4 * c)))
+        * np.exp(-(1 + b * b) * kp**2 / d + g * g / (4 * c))
         * np.cos(g * kx / (2 * c))
     )
 
@@ -615,35 +618,46 @@ def kernel_wigner(which: int, xi: float, grid: WignerGrid, output: int = 1) -> W
 # ---------------------------------------------------------------------------
 
 
-def convolve_with_kernel(grid: WignerGrid, which: int, xi: float, output: int = 1) -> WignerGrid:
-    """(1/2pi) * (W conv W^kernel) on the input lattice.
+def convolve_with_kernel(
+    grid: WignerGrid, which: int | Mapping[int, float], xi: float, output: int = 1
+) -> WignerGrid:
+    """(1/2pi) * (W conv sum_k w_k W^kernel_k) on the input lattice.
 
-    Runs in Fourier space against the closed-form kernel characteristic
-    function, with zero padding sized to the kernel's spread, so narrow
-    kernels cost nothing and wide ones only require the lattice to be large
-    enough to hold the broadened output.
+    ``which`` is one kernel (weight 1) or a ``{kernel: weight}`` mapping;
+    zero-weight kernels are dropped and neither checked nor evaluated.  The
+    weighted sum is one convolution: the input is zero padded once, to the
+    spread of the widest remaining kernel, transformed with one real FFT,
+    multiplied by the weighted closed-form kernel characteristic functions
+    on the half spectrum and transformed back once.  Narrow kernels cost
+    nothing, and wide ones only require the lattice to be large enough to
+    hold the broadened output.
     """
-    which = _check_which(which)
+    pairs = which.items() if isinstance(which, Mapping) else ((which, 1.0),)
+    weights = {_check_which(k): w for k, w in pairs}
+    weights = {k: w for k, w in weights.items() if w != 0.0}
     xi = _as_xi(xi)
-    sigma = _kernel_sigma(which, xi, output)
+    sigma = max((_kernel_sigma(k, xi, output) for k in weights), default=0.0)
     half = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min) / 2
     if half < 4 * sigma:
         raise GridResolutionError(
             f"kernel spread {sigma:.3g} needs a grid half-range of at least "
             f"{4 * sigma:.3g}, have {half:.3g}"
         )
+    # 12 sigma of zero padding after the data: a wrapped-around contribution
+    # comes from at least 12 sigma away, where every kernel has vanished
     mx = int(np.ceil(6 * sigma / grid.dx)) + 1
     mp = int(np.ceil(6 * sigma / grid.dp)) + 1
-    nx2 = next_fast_len(grid.n_x + 2 * mx)
-    np2 = next_fast_len(grid.n_p + 2 * mp)
-    buf = np.zeros((nx2, np2))
-    buf[mx : mx + grid.n_x, mp : mp + grid.n_p] = grid.values
-    kx = 2 * np.pi * np.fft.fftfreq(nx2, d=grid.dx)
-    kp = 2 * np.pi * np.fft.fftfreq(np2, d=grid.dp)
-    hat = np.fft.fft2(buf) * kernel_characteristic(
-        which, xi, kx[:, None], kp[None, :], output=output
+    shape = (
+        next_fast_len(grid.n_x + 2 * mx, real=True),
+        next_fast_len(grid.n_p + 2 * mp, real=True),
     )
-    out = np.fft.ifft2(hat).real[mx : mx + grid.n_x, mp : mp + grid.n_p]
+    kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
+    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
+    spectrum = sum(
+        w * kernel_characteristic(k, xi, kx[:, None], kp[None, :], output=output)
+        for k, w in weights.items()
+    )
+    out = irfft2(rfft2(grid.values, s=shape) * spectrum, s=shape)[: grid.n_x, : grid.n_p]
     return grid.like(out / (2 * np.pi))
 
 
@@ -653,8 +667,8 @@ def output_wigner(
     """Wigner function of a distributor output for a sampled input.
 
     For grid-safe squeezing the exact kernel decomposition is used:
-    W_out = alpha^2 (W conv W1)/2pi + beta^2 (W conv W2)/2pi
-            + alpha beta (W conv W3)/2pi.
+    W_out = (1/2pi) W conv (alpha^2 W1 + beta^2 W2 + alpha beta W3),
+    computed as one fused convolution by :func:`convolve_with_kernel`.
     Beyond ``XI_GRID_MAX`` the narrow kernels collapse onto the identity and
     the cross term onto a 4*sqrt(2)*e^{-2 xi} passthrough, leaving only the
     thermal-like convolution.  Normalisation is preserved whenever
@@ -667,11 +681,7 @@ def output_wigner(
     # the output-2 triple already encodes the role reversal of the two modes
     weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
     if xi <= XI_GRID_MAX:
-        out = np.zeros_like(input_grid.values)
-        for which, weight in weights.items():
-            if weight != 0.0:
-                out += weight * convolve_with_kernel(input_grid, which, xi, output=output).values
-        return input_grid.like(out)
+        return convolve_with_kernel(input_grid, weights, xi, output=output)
     # asymptotic regime: the narrow kernel acts as the identity and the cross
     # kernel as a 4*sqrt(2)*e^{-2 xi} passthrough
     wide = max((1, 2), key=lambda which: _kernel_sigma(which, xi, output))

@@ -12,6 +12,7 @@ product is retained as a test oracle for small N.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,18 +78,22 @@ def conditional_sub(dim: int) -> Operator:
 
 
 class PermutationGate:
-    """Phase-free unitary relabelling x-basis triples of a 3-register space."""
+    """Phase-free unitary relabelling x-basis triples of a 3-register space.
+
+    ``perm`` is a read-only copy, so a gate can be shared between callers.
+    """
 
     __slots__ = ("dim", "perm")
 
     def __init__(self, dim: int, perm: np.ndarray):
         self.dim = validate_dim(dim)
-        perm = np.asarray(perm, dtype=np.intp)
+        perm = np.array(perm, dtype=np.intp)
         size = self.dim**3
         if perm.shape != (size,):
             raise ValueError(f"permutation has shape {perm.shape}, expected ({size},)")
         if np.bincount(perm, minlength=size).max() != 1:
             raise ValueError("index map is not a bijection")
+        perm.flags.writeable = False
         self.perm = perm
 
     def apply(self, state: PureState) -> PureState:
@@ -99,12 +104,15 @@ class PermutationGate:
         return PureState(state.dims, out)
 
 
+@functools.lru_cache(maxsize=1)
 def build_qid_unitary(dim: int) -> PermutationGate:
     """Distributor unitary as a basis permutation.
 
     Sends (n, m, k) to ((n - m + k) mod N, (m + n) mod N, (k + n) mod N),
     which is what the four conditional shifts D31 D21^dag D13 D12 do on
-    basis triples (registers ordered 1, 2, 3).
+    basis triples (registers ordered 1, 2, 3).  The gate of the last
+    dimension asked for is cached, so repeated calls at one N build and
+    bijection-check the N^3 permutation once.
     """
     d = validate_dim(dim)
     idx = np.arange(d**3)

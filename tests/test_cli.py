@@ -135,6 +135,22 @@ class TestCv:
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 1e-4
 
+    def test_grid_fidelities_pinned(self, capsys):
+        # values printed by the per-kernel three-convolution path this
+        # fused one replaced
+        code, out, _ = run_cli(capsys, "cv", "--xi", "0.5,3", "--grid", "512")
+        assert code == 0
+        rows = parse_csv(out)
+        pinned = {
+            "0.5": (0.65438684215842147, 0.67958647036622333),
+            "3": (0.50812337319640166, 0.50428128630708646),
+        }
+        assert [r["xi"] for r in rows] == list(pinned)
+        for row in rows:
+            f1, f2 = pinned[row["xi"]]
+            assert abs(float(row["F1"]) - f1) < 1e-12
+            assert abs(float(row["F2"]) - f2) < 1e-12
+
     def test_wigner_dump(self, tmp_path, capsys):
         stem = tmp_path / "wig"
         code, _, _ = run_cli(
@@ -227,6 +243,16 @@ class TestBadInput:
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and "displacement" in err
+
+    def test_unresolving_grid(self, capsys):
+        # the rows are still written, but a grid that loses Riemann mass
+        # gives wrong fidelities (true F1 is 0.654 at xi 0.5, 0.508 at xi 3)
+        for xi, grid in (("0.5", "8"), ("3", "64"), ("3", "256")):
+            code, out, err = run_cli(capsys, "cv", "--xi", xi, "--grid", grid)
+            assert code == 1
+            assert len(parse_csv(out)) == 1
+            assert err.startswith("error:")
+            assert f"--grid {grid}" in err and f"xi={float(xi)}" in err and "mass" in err
 
     def test_gates_fail_on_nan(self):
         assert _exceeds(math.nan, 1e-9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qidsim.cv_gaussian import (
@@ -402,6 +404,51 @@ class TestOutputWigner:
             via_fft = convolve_with_kernel(grid, which, xi).values
             via_sum = direct_convolution(grid, which, xi)
             assert np.abs(via_fft - via_sum).max() < 1e-9
+
+    @pytest.mark.parametrize("output", (1, 2))
+    @pytest.mark.parametrize("xi", (0.5, 1.0, 3.0))
+    def test_weighted_mapping_equals_sum_of_single_kernels(self, xi, output):
+        # each single-kernel call pads to its own width, the mapping pads
+        # once to the widest one
+        alpha = math.sqrt(0.5)
+        beta = solve_cv_beta(alpha, xi)
+        weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
+        grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
+        fused = convolve_with_kernel(grid, weights, xi, output=output).values
+        summed = sum(
+            w * convolve_with_kernel(grid, k, xi, output=output).values for k, w in weights.items()
+        )
+        assert np.abs(fused - summed).max() < 1e-12
+        assert np.array_equal(output_wigner(grid, xi, alpha, beta, output=output).values, fused)
+
+    @pytest.mark.parametrize("output", (1, 2))
+    def test_mixed_weights_match_direct_summation(self, output):
+        xi = 0.5
+        weights = {1: 0.3, 2: -0.7, 3: 1.9}
+        grid = VACUUM.wigner_grid(WignerGrid.centered(7.0, 49))
+        via_fft = convolve_with_kernel(grid, weights, xi, output=output).values
+        via_sum = sum(w * direct_convolution(grid, k, xi, output) for k, w in weights.items())
+        assert np.abs(via_fft - via_sum).max() < 1e-9
+
+    def test_zero_weight_kernel_is_not_range_checked(self):
+        xi = 2.0
+        grid = VACUUM.wigner_grid(WignerGrid.centered(4.0, 128))  # too small for kernel 2
+        out = convolve_with_kernel(grid, {1: 1.0, 2: 0.0, 3: 0.5}, xi)
+        want = convolve_with_kernel(grid, {1: 1.0, 3: 0.5}, xi)
+        assert np.array_equal(out.values, want.values)
+        with pytest.raises(GridResolutionError):
+            convolve_with_kernel(grid, {1: 1.0, 2: 1e-3}, xi)
+
+    @settings(max_examples=10, deadline=None)
+    @given(xi=st.floats(0.0, 3.0), alpha=st.floats(0.0, 1.0))
+    def test_fused_output_keeps_unit_mass(self, xi, alpha):
+        # 512 points per axis: at 256 the vacuum input alone is 1.7e-5 short
+        # of unit mass at xi = 3
+        beta = solve_cv_beta(alpha, xi)
+        grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
+        for output in (1, 2):
+            out = output_wigner(grid, xi, alpha, beta, output=output)
+            assert abs(out.total_mass() - 1.0) < 1e-9
 
     def test_gaussian_kernels_reproduce_gaussian_convolution(self):
         xi = 1.0

@@ -87,6 +87,13 @@ class TestDistributorUnitary:
             state.amplitudes.tolist(), key=lambda c: (c.real, c.imag)
         )
 
+    def test_gate_is_cached_per_dimension_and_read_only(self):
+        gate = build_qid_unitary(5)
+        assert build_qid_unitary(5) is gate
+        assert build_qid_unitary(4) is not gate
+        with pytest.raises(ValueError):
+            gate.perm[0] = gate.perm[1]
+
     def test_gate_embedding_validates_registers(self):
         state = haar_random_state((3, 3, 3), np.random.default_rng(0))
         with pytest.raises(ValueError):
