@@ -123,6 +123,8 @@ def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState
         raise ValueError(f"malformed input spec {spec!r}: {exc}") from None
     if amps.size != dim:
         raise ValueError(f"input spec has {amps.size} amplitudes, expected {dim}")
+    if not np.isfinite(amps).all():
+        raise ValueError(f"input spec {spec!r} has non-finite amplitudes")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("input spec has zero norm")

@@ -4,10 +4,33 @@ A fixed four-gate circuit of conditional adders acts on an input register
 plus a two-register program state.  The program alone decides how much of
 the input's quantum information flows to each output: it interpolates
 between "leave the input alone" and "swap it into register 2", with the
-symmetric point acting as a universal cloner.  In the x-basis the whole
-circuit is a permutation of basis triples, so states are propagated by
-index remapping instead of by an N^3 x N^3 matrix; the dense gate-by-gate
-product is retained as a test oracle for small N.
+symmetric point acting as a universal cloner.
+
+Each output register is a channel on the input that commutes with the
+shift operators, so :func:`distribute` computes the three reduced outputs
+straight from rho = |psi><psi| and the program amplitude matrix
+C[m, k] (registers 2 and 3 of the program), never forming the N^3 joint
+state.  All indices are mod N.  In the x-basis the circuit sends the basis
+triple (n, m, k) to (n - m + k, m + n, k + n), so the joint output is
+
+    J[a, b, c] = psi[a + b - c] * C[c - a, 2c - a - b]
+
+and its reductions are
+
+    rho1[a, a'] = sum_j rho[a + j, a' + j] * G_j(a - a'),
+        G_j(d) = sum_u C[u, u - j] * conj(C[u + d, u + d - j])
+    rho2[b, b'] = sum_j rho[b + j, b' + j] * H_j(b - b'),
+        H_j(d) = sum_u C[-j, u] * conj(C[-j, u + d])
+    rho3[c, c'] = sum_n rho[n, n + d] * K_d(c - n),   d = c - c',
+        K_d(v) = sum_w C[w, v] * conj(C[w - d, v - 2d]).
+
+Outputs 1 and 2 are circular correlations along the cyclic diagonals of
+rho, done by FFT in O(N^2 log N) time; output 3 takes O(N^3) time for its
+kernels K, and every output O(N^2) memory.  The joint state is built on
+demand, as an oracle, by the x-basis index permutation of
+:func:`build_qid_unitary` (never as an N^3 x N^3 matrix); the dense
+gate-by-gate product :func:`qid_by_gate_sequence` is the oracle for that
+permutation at small N.
 """
 
 from __future__ import annotations
@@ -26,7 +49,6 @@ from .qudit_core import (
     Operator,
     PureState,
     entangled_state,
-    fourier_operator,
     negativity,
     partial_trace,
     shift_p,
@@ -176,13 +198,28 @@ class ProgramState:
 
 @dataclass
 class DistributorOutput:
-    """Joint output state (None for closed-form results) and the three
-    single-register reductions."""
+    """The three single-register reductions, and the joint output state on
+    demand.
 
-    joint: PureState | None
+    ``inputs`` holds the input and program kets the joint state is built
+    from; it is None for closed-form results, whose ``joint`` is None.
+    """
+
     rho1: DensityOperator
     rho2: DensityOperator
     rho3: DensityOperator
+    inputs: tuple[PureState, PureState] | None = None
+
+    @functools.cached_property
+    def joint(self) -> PureState | None:
+        """Joint N^3 output state, built by the permutation oracle on first
+        read.  Raises ValueError above ``MAX_TRIPARTITE_DIM``."""
+        if self.inputs is None:
+            return None
+        psi, ket = self.inputs
+        if psi.dim > MAX_TRIPARTITE_DIM:
+            raise ValueError(f"dimension {psi.dim} exceeds the tripartite cap {MAX_TRIPARTITE_DIM}")
+        return build_qid_unitary(psi.dim).apply(psi.tensor(ket))
 
 
 def program_state(dim: int, alpha: float, beta: float) -> ProgramState:
@@ -196,9 +233,8 @@ def program_state(dim: int, alpha: float, beta: float) -> ProgramState:
     if abs(residual) > ATOL_CHAIN:
         raise ValueError(f"(alpha, beta) violate the normalisation condition by {residual:.3e}")
     amps = alpha * entangled_state(d, 0, 0).amplitudes
-    x0p0 = np.kron(
-        np.eye(d, dtype=complex)[0], fourier_operator(d).matrix[:, 0]
-    )
+    # |p_0> is the Fourier operator's column 0, exactly 1/sqrt(N) everywhere
+    x0p0 = np.kron(np.eye(d, dtype=complex)[0], np.full(d, 1 / np.sqrt(d), dtype=complex))
     amps = amps + beta * x0p0
     amps /= np.linalg.norm(amps)
     return ProgramState(d, float(alpha), float(beta), PureState((d, d), amps))
@@ -218,10 +254,25 @@ def _program_ket(program: ProgramState | PureState) -> PureState:
     return ket
 
 
+def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
+    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), in O(N^3) time and
+    O(N^2) memory."""
+    dim = coeffs.shape[0]
+    # periodic copy, so that every shifted conj(C) is a slice
+    tiled = np.tile(coeffs.conj(), (2, 3))
+    kernels = np.empty_like(coeffs)
+    for d in range(dim):
+        kernels[d] = (coeffs * tiled[dim - d:2 * dim - d, 2 * (dim - d):3 * dim - 2 * d]).sum(axis=0)
+    return kernels
+
+
 def distribute(psi: PureState, program: ProgramState | PureState) -> DistributorOutput:
     """Run the distributor on input ``psi`` and a two-register program.
 
-    Accepts arbitrary program kets, not only the two-parameter family.
+    Accepts arbitrary program kets, not only the two-parameter family, and
+    any dimension: the reduced outputs come from the channel formulas in
+    the module docstring.  The joint state is built only when
+    ``.joint`` is read.
     """
     ket = _program_ket(program)
     if psi.num_registers != 1:
@@ -229,14 +280,39 @@ def distribute(psi: PureState, program: ProgramState | PureState) -> Distributor
     d = psi.dim
     if ket.dims[0] != d:
         raise ValueError(f"dimension mismatch: input {d}, program {ket.dims[0]}")
-    if d > MAX_TRIPARTITE_DIM:
-        raise ValueError(f"dimension {d} exceeds the tripartite cap {MAX_TRIPARTITE_DIM}")
-    joint = build_qid_unitary(d).apply(psi.tensor(ket))
+    coeffs = ket.amplitudes.reshape(d, d)
+    x = np.arange(d)
+    # mat[x, diag_cols][delta, x] = mat[x, x - delta]: the cyclic diagonals
+    diag_cols = (x - x[:, None]) % d
+    # One FFT along x for three arrays: rho's diagonals, and the rows whose
+    # circular autocorrelations are G_j (the diagonals C[u, u - j]) and H_j
+    # (the rows C[-j, u]).
+    spectra = np.empty((3, d, d), dtype=complex)
+    spectra[0] = psi.amplitudes * psi.amplitudes.conj()[diag_cols]
+    spectra[1] = coeffs[x, diag_cols]
+    spectra[2] = coeffs[-x]
+    spectra = np.fft.fft(spectra, axis=2)
+    rho_ft = spectra[0]
+    # |spectra[1:]|^2 / N are the weights of the shift operators in outputs 1
+    # and 2.  One more FFT gives both transfer functions,
+    # transfer[., k, delta] = sum_j R_j(delta) * exp(2 pi i j k / N) for
+    # R = G, H, and output 3's kernels K_delta transformed along v.
+    transfer = np.empty((3, d, d), dtype=complex)
+    transfer[:2] = np.fft.ifft(np.abs(spectra[1:]) ** 2, axis=1)
+    transfer[2] = _third_output_kernels(coeffs)
+    transfer = np.fft.fft(transfer, axis=2)
+    # Outputs 1 and 2 correlate rho's diagonal delta with R_.(delta); output 3
+    # convolves K_delta with rho[n, n + delta], which is rho's diagonal -delta.
+    filtered = np.empty((3, d, d), dtype=complex)
+    filtered[:2] = rho_ft * transfer[:2].swapaxes(1, 2)
+    filtered[2] = rho_ft[-x] * transfer[2]
+    # back from diagonals: out[a, b] = diagonals[a - b, a]
+    out = np.fft.ifft(filtered, axis=2)[:, diag_cols.T, x[:, None]]
     return DistributorOutput(
-        joint,
-        partial_trace(joint, (0,)),
-        partial_trace(joint, (1,)),
-        partial_trace(joint, (2,)),
+        DensityOperator((d,), out[0]),
+        DensityOperator((d,), out[1]),
+        DensityOperator((d,), out[2]),
+        inputs=(psi, ket),
     )
 
 
@@ -260,7 +336,6 @@ def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> Di
     rho2 = (beta**2 + 2 * ab / d) * rho_in + (alpha**2 / d) * eye
     rho3 = (2 * ab / d) * rho_in.T + ((d - 2 * ab) / d**2) * eye
     return DistributorOutput(
-        None,
         DensityOperator((d,), rho1),
         DensityOperator((d,), rho2),
         DensityOperator((d,), rho3),

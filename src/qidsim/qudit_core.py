@@ -68,7 +68,10 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected {expected}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL_EXACT:
+        # NaN-safe: a NaN or inf amplitude makes the norm NaN or inf
+        if not (abs(norm - 1.0) <= ATOL_EXACT):
+            if not np.isfinite(amps).all():
+                raise ValueError("amplitude vector has non-finite entries")
             raise ValueError(f"state is not normalised: |norm - 1| = {abs(norm - 1):.3e}")
         self.amplitudes = amps
 
@@ -141,13 +144,15 @@ class DensityOperator:
         d = int(np.prod(self.dims))
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
-        if np.abs(mat - mat.conj().T).max() > ATOL_CHAIN:
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
+        if not (np.abs(mat - mat.conj().T).max() <= ATOL_CHAIN):
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > ATOL_CHAIN:
+        if not (abs(tr - 1.0) <= ATOL_CHAIN):
             raise ValueError(f"trace is {tr}, expected 1")
         min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < -ATOL_CHAIN:
+        if not (min_eig >= -ATOL_CHAIN):
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         self.matrix = mat
 

@@ -97,6 +97,12 @@ class TestDistribute:
         assert code == 1
         assert "malformed" in err
 
+    def test_runs_past_the_tripartite_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "distribute", "--dim", "128", "--alpha", "0.4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_deviation"] <= 1e-10
+
 
 class TestCovariance:
     def test_qubit(self, capsys):
@@ -253,6 +259,16 @@ class TestBadInput:
             assert len(parse_csv(out)) == 1
             assert err.startswith("error:")
             assert f"--grid {grid}" in err and f"xi={float(xi)}" in err and "mass" in err
+
+    def test_non_finite_input_amplitudes(self, capsys):
+        for spec in ("nan,1", "inf,1"):
+            code, out, err = run_cli(
+                capsys, "distribute", "--dim", "2", "--alpha", "0.5", "--input", spec
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert repr(spec) in err and "non-finite" in err
 
     def test_gates_fail_on_nan(self):
         assert _exceeds(math.nan, 1e-9)

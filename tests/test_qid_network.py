@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qidsim.qid_network import (
+    PermutationGate,
     apply_two_register_gate,
     build_qid_unitary,
     classical_distributor_fidelity,
@@ -21,11 +24,13 @@ from qidsim.qid_network import (
     solve_beta,
 )
 from qidsim.qudit_core import (
+    MAX_TRIPARTITE_DIM,
     PureState,
     entangled_state,
     fidelity,
     fourier_operator,
     haar_random_state,
+    partial_trace,
     shift_p,
     shift_x,
 )
@@ -140,6 +145,16 @@ class TestProgramStates:
         ket = cloner_program(dim).ket
         assert ket.distance_up_to_phase(PureState((dim, dim), expected)) < 1e-12
 
+    @pytest.mark.parametrize("dim", (2, 3, 8, 64))
+    def test_ket_is_bit_identical_to_fourier_column_form(self, dim):
+        alpha = 0.3
+        beta = solve_beta(dim, alpha)
+        amps = alpha * entangled_state(dim, 0, 0).amplitudes + beta * np.kron(
+            np.eye(dim, dtype=complex)[0], fourier_operator(dim).matrix[:, 0]
+        )
+        amps /= np.linalg.norm(amps)
+        assert np.array_equal(program_state(dim, alpha, beta).ket.amplitudes, amps)
+
     def test_constraint_enforced(self):
         with pytest.raises(ValueError):
             program_state(3, 0.9, 0.9)
@@ -181,6 +196,45 @@ class TestDistribution:
         ket = haar_random_state((dim, dim), np.random.default_rng(2))
         out = distribute(psi, ket)
         assert abs(np.trace(out.rho1.matrix) - 1) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_channel_equals_joint_oracle(self, dim, seed):
+        # random program kets lie outside the two-parameter family
+        rng = np.random.default_rng(seed)
+        psi = haar_random_state((dim,), rng)
+        ket = haar_random_state((dim, dim), rng)
+        out = distribute(psi, ket)
+        for register, rho in enumerate((out.rho1, out.rho2, out.rho3)):
+            oracle = partial_trace(out.joint, (register,)).matrix
+            mat = rho.matrix
+            assert np.abs(mat - oracle).max() <= 1e-12
+            assert np.abs(mat - mat.conj().T).max() <= 1e-12
+            assert abs(np.trace(mat) - 1) <= 1e-12
+            assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+    def test_joint_is_built_only_when_read(self, monkeypatch):
+        def refuse(self, state):
+            raise AssertionError("joint state built")
+
+        monkeypatch.setattr(PermutationGate, "apply", refuse)
+        psi = haar_random_state((5,), np.random.default_rng(3))
+        out = distribute(psi, cloner_program(5))
+        assert abs(fidelity(out.rho1, psi) - clone_fidelity(5)) < 1e-12
+        with pytest.raises(AssertionError, match="joint state built"):
+            out.joint
+
+    def test_joint_above_cap_raises(self):
+        dim = MAX_TRIPARTITE_DIM + 1
+        psi = haar_random_state((dim,), np.random.default_rng(4))
+        out = distribute(psi, cloner_program(dim))
+        assert abs(fidelity(out.rho1, psi) - clone_fidelity(dim)) < 1e-12
+        with pytest.raises(ValueError, match="tripartite cap"):
+            out.joint
+
+    def test_closed_form_outputs_have_no_joint(self):
+        psi = haar_random_state((3,), np.random.default_rng(5))
+        assert predicted_outputs(3, 1.0, 0.0, psi).joint is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,13 @@ class TestStateAndOperatorValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState((2,), np.array([1.0, 1.0]))
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                PureState((2,), np.array([bad, 1.0]))
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityOperator((2,), np.array([[bad, 0.0], [0.0, 0.5]]))
 
     def test_phase_invariant_distance(self):
         psi = haar_random_state((3,), np.random.default_rng(3))
