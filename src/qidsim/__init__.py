@@ -12,24 +12,17 @@ from .qudit_core import (
     PureState,
     entangled_state,
     fidelity,
-    fourier_operator,
     haar_random_state,
-    negativity,
     partial_trace,
     shift_p,
     shift_x,
-    transpose_op,
 )
 from .qid_network import (
     DistributorOutput,
-    PermutationGate,
     ProgramState,
-    build_qid_unitary,
     classical_distributor_fidelity,
     clone_fidelity,
     cloner_program,
-    conditional_add,
-    conditional_sub,
     covariance_check,
     distribute,
     predicted_outputs,
@@ -46,7 +39,6 @@ from .cv_gaussian import (
     cv_norm_constraint,
     gaussian_fidelity,
     kernel_eval,
-    kernel_wigner,
     output_wigner,
     qid_symplectic,
     regularized_epr,

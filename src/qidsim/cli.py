@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cv_gaussian as cv
 from . import qid_network as net
-from .qudit_core import MAX_TRIPARTITE_DIM, PureState, fidelity, haar_random_state
+from .qudit_core import PureState, fidelity, haar_random_state
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
@@ -140,23 +140,19 @@ def cmd_clone(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows, deviations = [], []
     for dim in _parse_dims(args):
+        psi = haar_random_state((dim,), rng)
+        f_sim = fidelity(net.distribute(psi, net.cloner_program(dim)).rho1, psi)
         row = {
             "N": dim,
             "s_closed": net.scaling_factor(dim),
             "F_closed": net.clone_fidelity(dim),
-            "s_simulated": None,
-            "F_simulated": None,
+            "s_simulated": (f_sim - 1.0 / dim) / (1.0 - 1.0 / dim),
+            "F_simulated": f_sim,
         }
-        if dim <= MAX_TRIPARTITE_DIM:
-            psi = haar_random_state((dim,), rng)
-            out = net.distribute(psi, net.cloner_program(dim))
-            f_sim = fidelity(out.rho1, psi)
-            row["F_simulated"] = f_sim
-            row["s_simulated"] = (f_sim - 1.0 / dim) / (1.0 - 1.0 / dim)
-            deviations += [
-                abs(row["s_simulated"] - row["s_closed"]),
-                abs(row["F_simulated"] - row["F_closed"]),
-            ]
+        deviations += [
+            abs(row["s_simulated"] - row["s_closed"]),
+            abs(row["F_simulated"] - row["F_closed"]),
+        ]
         rows.append(row)
     _emit_rows(rows, ["N", "s_closed", "s_simulated", "F_closed", "F_simulated"], args)
     worst = _worst(deviations)
@@ -238,6 +234,8 @@ def _dump_wigner_grid(grid, xi: float, args) -> None:
 def cmd_cv(args) -> int:
     from scipy.integrate import quad
 
+    if args.grid < 2:
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
     xis = [float(tok) for tok in args.xi.split(",")]
     rows = []
     failed = None
@@ -254,6 +252,7 @@ def cmd_cv(args) -> int:
             )[0] / math.sqrt(2 * np.pi)
             row[f"k{which}_norm"] = val
             row[f"k{which}_residual"] = val - cv.kernel_norm_expected(which, xi)
+        closed = [cv.cv_fidelity_asymptotic(xi, alpha, beta, output=k) for k in (1, 2)]
         if xi <= cv.XI_GRID_MAX:
             grid = cv.GaussianState.vacuum().wigner_grid(
                 cv.WignerGrid.centered(cv.suggested_half_width(xi), args.grid)
@@ -265,6 +264,14 @@ def cmd_cv(args) -> int:
             row["method"] = "grid"
             if args.dump_wigner:
                 _dump_wigner_grid(out1, xi, args)
+            # the grid is cross-checked against the exact closed form: a step
+            # near the input's width aliases the fidelity's Riemann sum
+            gap = _worst(abs(f - c) for f, c in zip((row["F1"], row["F2"]), closed))
+            if _exceeds(gap, 1e-9):
+                failed = (
+                    f"--grid {args.grid} cannot resolve xi={xi}: grid fidelities are "
+                    f"{gap:.3e} from the closed form (tolerance 1e-9)"
+                )
             # a lattice too coarse or too small for the input or the
             # broadened outputs loses mass, and its fidelities are wrong
             masses = [w.total_mass() for w in (grid, out1, out2)]
@@ -275,8 +282,7 @@ def cmd_cv(args) -> int:
                     f"output 1, output 2 = {', '.join(f'{m:.6g}' for m in masses)}, not 1"
                 )
         else:
-            row["F1"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=1)
-            row["F2"] = cv.cv_fidelity_asymptotic(xi, alpha, beta, output=2)
+            row["F1"], row["F2"] = closed
             row["method"] = "asymptotic"
         resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))
         if _exceeds(resid, 1e-6):

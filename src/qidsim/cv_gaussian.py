@@ -13,11 +13,13 @@ normalisation):
   W(r) = exp(-(r-mu)^T S^-1 (r-mu) / 2) / sqrt(det S).
 
 Gaussian states are covariance matrices with quadratures interleaved as
-(x1, p1, x2, p2, ...).  The non-Gaussian squeezed-program analysis is done
-on sampled Wigner grids through closed-form reduction kernels; grids are
-only trusted up to ``XI_GRID_MAX`` squeezing, beyond which asymptotic
-expressions take over.  A squeezing strength ``xi`` is a plain float; every
-entry point rejects one that is negative or not finite.
+(x1, p1, x2, p2, ...).  The non-Gaussian squeezed-program analysis computes
+each quantity one way, at every squeezing: an output Wigner grid is the
+sampled input convolved once, in Fourier space, with the weighted
+closed-form kernel characteristic functions (:func:`output_wigner`), and a
+vacuum-input output fidelity is an exact closed form
+(:func:`cv_fidelity_asymptotic`).  A squeezing strength ``xi`` is a plain
+float; every entry point rejects one that is negative or not finite.
 
 Only the output-1 kernel triple is written out.  The output-2 triple is
 derived from it: kernels 1 and 2 swap (pi = (1 <-> 2, 3 fixed)) and phase
@@ -28,7 +30,7 @@ space stretches by s = sqrt(2),
     chi(2)_k(kappa)   = chi(1)_pi(k)(kappa / s)
     sigma(2)_k        = sigma(1)_pi(k) / s
 
-so the second output's asymptotic fidelity is the first's with alpha and beta
+so the second output's Gaussian overlaps are the first's with alpha and beta
 swapped and both Gaussian kernel variances halved.
 """
 
@@ -66,7 +68,6 @@ __all__ = [
     "kernel_norm_expected",
     "kernel_wigner_value",
     "kernel_characteristic",
-    "kernel_wigner",
     "convolve_with_kernel",
     "output_wigner",
     "cv_fidelity",
@@ -78,14 +79,15 @@ __all__ = [
     "coherent_cloner",
 ]
 
-# Grid-based pipelines are only used up to this squeezing; the narrow and
-# wide kernel widths then span a factor e^{4*xi} ~ 1.6e5 which a single
-# lattice cannot resolve.
+# Squeezing up to which the CLI samples output grids; above it only the
+# closed-form fidelities are printed.  A lattice wide enough to hold the
+# e^{xi}-wide kernel cannot then resolve the vacuum input: at xi = 5 the
+# sampled input's mass is off by 0.1 on a 1024^2 grid.
 XI_GRID_MAX = 3.0
 
 
 class GridResolutionError(ValueError):
-    """A sampled grid cannot resolve or contain the requested feature."""
+    """A sampled grid's range cannot contain the requested kernel."""
 
 
 def _as_xi(value: float) -> float:
@@ -214,12 +216,12 @@ class WignerGrid:
         json.dump(doc, stream)
 
 
-def suggested_half_width(xi: float, input_sigma: float = math.sqrt(0.5)) -> float:
+def suggested_half_width(xi: float) -> float:
     """Half-width covering 8 standard deviations of the broadest state present
-    in an output-distribution pipeline (input convolved with the thermal-like
-    kernel)."""
+    in an output-distribution pipeline (vacuum input convolved with the
+    thermal-like kernel)."""
     xi = _as_xi(xi)
-    return 8.0 * max(input_sigma, math.sqrt(input_sigma**2 + math.cosh(2 * xi)))
+    return 8.0 * math.sqrt(math.sqrt(0.5) ** 2 + math.cosh(2 * xi))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,8 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.size % 2 != 0 or cov.shape != (mean.size, mean.size):
             raise ValueError("mean must have even length matching the covariance")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric")
         j = symplectic_form(mean.size // 2)
@@ -584,35 +588,6 @@ def _kernel_sigma(which: int, xi: float, output: int) -> float:
     return sigma / s
 
 
-def kernel_wigner(which: int, xi: float, grid: WignerGrid, output: int = 1) -> WignerGrid:
-    """Sample a kernel Wigner function on ``grid``'s lattice from its closed
-    form.
-
-    Raises :class:`GridResolutionError` when the lattice cannot resolve the
-    e^{-xi}-narrow widths or contain the e^{xi}-wide ones.
-    """
-    which = _check_which(which)
-    xi = _as_xi(xi)
-    if xi > XI_GRID_MAX:
-        raise GridResolutionError(
-            f"xi = {xi} exceeds the grid-safe maximum {XI_GRID_MAX}; "
-            "use the asymptotic closed forms instead"
-        )
-    sigma = _kernel_sigma(which, xi, output)
-    step = max(grid.dx, grid.dp)
-    if sigma < 2.5 * step:
-        raise GridResolutionError(
-            f"kernel width {sigma:.3g} is unresolvable at grid step {step:.3g}"
-        )
-    half = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min) / 2
-    if half < 4 * sigma:
-        raise GridResolutionError(
-            f"kernel width {sigma:.3g} does not fit in grid half-range {half:.3g}"
-        )
-    xg, pg = grid.meshgrid()
-    return grid.like(kernel_wigner_value(which, xi, xg, pg, output=output))
-
-
 # ---------------------------------------------------------------------------
 # Output Wigner functions
 # ---------------------------------------------------------------------------
@@ -664,32 +639,19 @@ def convolve_with_kernel(
 def output_wigner(
     input_grid: WignerGrid, xi: float, alpha: float, beta: float, output: int = 1
 ) -> WignerGrid:
-    """Wigner function of a distributor output for a sampled input.
-
-    For grid-safe squeezing the exact kernel decomposition is used:
+    """Wigner function of a distributor output for a sampled input,
     W_out = (1/2pi) W conv (alpha^2 W1 + beta^2 W2 + alpha beta W3),
     computed as one fused convolution by :func:`convolve_with_kernel`.
-    Beyond ``XI_GRID_MAX`` the narrow kernels collapse onto the identity and
-    the cross term onto a 4*sqrt(2)*e^{-2 xi} passthrough, leaving only the
-    thermal-like convolution.  Normalisation is preserved whenever
-    (alpha, beta) satisfy the continuous normalisation constraint.
+
+    Normalisation is preserved whenever (alpha, beta) satisfy the continuous
+    normalisation constraint.
     """
-    xi = _as_xi(xi)
     if output not in (1, 2):
         raise ValueError(f"output must be 1 or 2, got {output!r}")
     # kernel 1 always carries the alpha^2 weight, kernel 2 the beta^2 weight;
     # the output-2 triple already encodes the role reversal of the two modes
     weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-    if xi <= XI_GRID_MAX:
-        return convolve_with_kernel(input_grid, weights, xi, output=output)
-    # asymptotic regime: the narrow kernel acts as the identity and the cross
-    # kernel as a 4*sqrt(2)*e^{-2 xi} passthrough
-    wide = max((1, 2), key=lambda which: _kernel_sigma(which, xi, output))
-    out = weights[3 - wide] * input_grid.values
-    out = out + 4 * math.sqrt(2) * math.exp(-2 * xi) * alpha * beta * input_grid.values
-    if weights[wide] != 0.0:
-        out = out + weights[wide] * convolve_with_kernel(input_grid, wide, xi, output=output).values
-    return input_grid.like(out)
+    return convolve_with_kernel(input_grid, weights, xi, output=output)
 
 
 def cv_fidelity(w_in: WignerGrid, w_out: WignerGrid) -> float:
@@ -702,16 +664,36 @@ def cv_fidelity(w_in: WignerGrid, w_out: WignerGrid) -> float:
 
 
 def cv_fidelity_asymptotic(xi: float, alpha: float, beta: float, output: int = 1) -> float:
-    """Closed-form output fidelity for a vacuum (or any coherent) input.
+    """Closed-form output fidelity for a vacuum (or any coherent) input,
+    exact at every squeezing.
 
-    Gaussian overlaps are exact: smearing a vacuum by a kernel of
-    per-quadrature variance sigma^2 leaves overlap 1 / (1 + sigma^2).  The
-    cross term uses its large-squeezing passthrough weight, accurate to
-    O(e^{-4 xi}).
+    Smearing a vacuum by a Gaussian kernel of per-quadrature variance sigma^2
+    leaves overlap 1 / (1 + sigma^2).  The cross kernel's characteristic
+    function is a Gaussian times cos(lambda kx kp) in the output-1 variables
+    kappa / s (d, c and mu as in :func:`kernel_characteristic`), so its
+    vacuum overlap is the elementary integral
+
+        O3 = s^2 (4 / sqrt(d)) sqrt(pi / c) / (2 sqrt(2 pi) sqrt(A B + lambda^2 / 4))
+
+    where A and B are the Gaussian's coefficients once the vacuum's
+    exp(-s^2 k^2 / 2) is folded in.  O3 tends to the cross-kernel weight
+    4 sqrt(2) e^{-2 xi} as xi grows.
     """
     xi = _as_xi(xi)
     overlap = {which: 1.0 / (1.0 + _kernel_sigma(which, xi, output) ** 2) for which in (1, 2)}
-    return alpha**2 * overlap[1] + beta**2 * overlap[2] + alpha * beta * k3_total_weight(xi)
+    _, s = _output1_kernel(3, output)
+    a, b = _ab(xi)
+    d = a + 3 * b
+    c = (a * a + b * b + 6) / (4 * d)
+    mu = b * (a - b) / d
+    big_a = s * s / 2 + 1 / (4 * c)
+    big_b = s * s / 2 + (1 + b * b) / d - mu * mu / (4 * c)
+    lam = mu / (2 * c)
+    overlap[3] = (
+        s * s * (4 / math.sqrt(d)) * math.sqrt(math.pi / c)
+        / (2 * math.sqrt(2 * math.pi) * math.sqrt(big_a * big_b + lam * lam / 4))
+    )
+    return alpha**2 * overlap[1] + beta**2 * overlap[2] + alpha * beta * overlap[3]
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,16 @@ class TestClone:
         fids = [float(r["F_closed"]) for r in rows]
         assert all(a > b > 0.5 for a, b in zip(fids, fids[1:]))
 
-    def test_simulation_column_blank_above_cap(self, capsys):
+    def test_simulation_columns_filled_past_the_joint_cap(self, capsys):
+        # the channel path needs no N^3 joint state, so N = 127, 128 simulate
         code, out, _ = run_cli(capsys, "clone", "--dim-range", "127:128")
         assert code == 0
         rows = parse_csv(out)
-        assert rows[0]["s_simulated"] == "" and rows[0]["F_simulated"] == ""
-        assert float(rows[0]["F_closed"]) > 0.5
+        assert [int(r["N"]) for r in rows] == [127, 128]
+        for row in rows:
+            assert abs(float(row["s_simulated"]) - float(row["s_closed"])) < 1e-10
+            assert abs(float(row["F_simulated"]) - float(row["F_closed"])) < 1e-10
+            assert float(row["F_closed"]) > 0.5
 
     def test_deterministic_output_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -259,6 +263,24 @@ class TestBadInput:
             assert len(parse_csv(out)) == 1
             assert err.startswith("error:")
             assert f"--grid {grid}" in err and f"xi={float(xi)}" in err and "mass" in err
+
+    def test_grid_below_two_points(self, capsys):
+        for grid in ("-4", "0", "1"):
+            code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", grid)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "--grid" in err
+
+    def test_grid_fidelity_off_the_closed_form(self, capsys):
+        # the mass gate passes here (mass error 5.5e-9), but the step is
+        # about the vacuum input's width and F1 sits 7.3e-5 below the
+        # closed form
+        code, out, err = run_cli(capsys, "cv", "--xi", "2.75", "--grid", "256")
+        assert code == 1
+        assert len(parse_csv(out)) == 1
+        assert err.startswith("error:")
+        assert "--grid 256" in err and "xi=2.75" in err and "closed form" in err
 
     def test_non_finite_input_amplitudes(self, capsys):
         for spec in ("nan,1", "inf,1"):

@@ -23,7 +23,6 @@ from qidsim.cv_gaussian import (
     kernel_characteristic,
     kernel_eval,
     kernel_norm_expected,
-    kernel_wigner,
     kernel_wigner_value,
     output_wigner,
     p0_wavefunction,
@@ -319,7 +318,7 @@ class TestKernelWigner:
     def test_thermal_kernel_normalisation_by_grid(self):
         xi = 1.0
         grid = WignerGrid.centered(8 * math.sqrt(math.cosh(2 * xi)), 401)
-        sampled = kernel_wigner(2, xi, grid)
+        sampled = grid.like(kernel_wigner_value(2, xi, *grid.meshgrid()))
         assert abs(sampled.total_mass() - 1.0) < 1e-6
 
     def test_kernel_grids_match_cosine_transform(self):
@@ -330,7 +329,7 @@ class TestKernelWigner:
         grid = WignerGrid.centered(9.0, 241)
         for output in (1, 2):
             for which in (1, 2, 3):
-                sampled = kernel_wigner(which, xi, grid, output=output).values
+                sampled = kernel_wigner_value(which, xi, *grid.meshgrid(), output=output)
                 numeric = kernel_wigner_by_cosine_transform(which, xi, grid, output=output).values
                 assert np.abs(sampled - numeric).max() < 1e-12 * np.abs(numeric).max()
 
@@ -340,7 +339,7 @@ class TestKernelWigner:
                 2 * (1 + math.exp(-4 * xi)) / (math.exp(2 * xi) + 3 * math.exp(-2 * xi))
             )
             grid = WignerGrid.centered(8 * max(sig, 0.5), 321)
-            sampled = kernel_wigner(3, xi, grid)
+            sampled = grid.like(kernel_wigner_value(3, xi, *grid.meshgrid()))
             assert abs(sampled.total_mass() - k3_total_weight(xi)) < 1e-6
 
     def test_cross_kernel_weight_decays_with_squeezing(self):
@@ -369,14 +368,6 @@ class TestKernelWigner:
                     numeric = (w * np.exp(-1j * (kx * xg + kp * pg))).sum().real * step * step
                     closed = kernel_characteristic(which, xi, kx, kp, output=output)
                     assert abs(numeric - closed) < 1e-6
-
-    def test_resolution_guards(self):
-        with pytest.raises(GridResolutionError):
-            kernel_wigner(1, 3.0, WignerGrid.centered(5.0, 64))  # step too coarse
-        with pytest.raises(GridResolutionError):
-            kernel_wigner(2, 2.0, WignerGrid.centered(2.0, 512))  # range too small
-        with pytest.raises(GridResolutionError):
-            kernel_wigner(1, 3.5, WignerGrid.centered(5.0, 2048))  # beyond grid-safe xi
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +450,13 @@ class TestOutputWigner:
             assert np.abs(got.values - want.values).max() < 1e-12
 
     def test_pure_passthrough_at_large_squeezing(self):
+        # kernel 1 alone, far narrower than the grid step, is applied exactly
+        # through its characteristic function: variance e^{-2 xi} is added
+        xi = 5.0
         grid = VACUUM.wigner_grid(WignerGrid.centered(6.0, 257))
-        out = output_wigner(grid, 5.0, 1.0, 0.0)
-        assert np.abs(out.values - grid.values).max() < 1e-6
+        out = output_wigner(grid, xi, 1.0, 0.0)
+        want = GaussianState(np.zeros(2), (0.5 + math.exp(-2 * xi)) * np.eye(2)).wigner_grid(grid)
+        assert np.abs(out.values - want.values).max() < 1e-12
 
     def test_pure_smearing_channel(self):
         # program weight entirely on the product branch: output is the input
@@ -505,6 +500,16 @@ class TestOutputWigner:
         with pytest.raises(ValueError):
             cv_fidelity(a, b)
 
+    @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0, 2.0, 3.0))
+    def test_closed_form_equals_grid_fidelity(self, xi):
+        grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
+        for alpha in (0.3, math.sqrt(0.5), 0.95):
+            beta = solve_cv_beta(alpha, xi)
+            for output in (1, 2):
+                on_grid = cv_fidelity(grid, output_wigner(grid, xi, alpha, beta, output=output))
+                closed = cv_fidelity_asymptotic(xi, alpha, beta, output=output)
+                assert abs(on_grid - closed) < 1e-9
+
     def test_asymptotic_agrees_with_grid_at_boundary(self):
         xi, alpha = 3.0, math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
@@ -512,7 +517,7 @@ class TestOutputWigner:
         for output in (1, 2):
             on_grid = cv_fidelity(grid, output_wigner(grid, xi, alpha, beta, output=output))
             closed = cv_fidelity_asymptotic(xi, alpha, beta, output=output)
-            assert abs(on_grid - closed) < 1e-3
+            assert abs(on_grid - closed) < 1e-12
 
     def test_limit_fidelities(self):
         alpha = 0.8
@@ -636,6 +641,16 @@ class TestGaussianFidelity:
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
             gaussian_fidelity(regularized_epr(0.5), regularized_epr(0.5))
+
+    def test_non_finite_mean_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(np.array([bad, 0.0]), 0.5 * np.eye(2))
+
+    def test_non_finite_covariance_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(np.zeros(2), np.array([[bad, 0.0], [0.0, 0.5]]))
 
 
 class TestCoherentCloner:
