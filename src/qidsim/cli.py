@@ -101,12 +101,19 @@ def _exceeds(value: float, tol: float) -> bool:
     return not (value <= tol)
 
 
+def _bad_option(option: str, value: str, expected: str) -> ValueError:
+    return ValueError(f"{option} expects {expected}, got {value!r}")
+
+
 def _parse_dims(args) -> list[int]:
     if args.dim_range:
         lo, _, hi = args.dim_range.partition(":")
-        dims = list(range(int(lo), int(hi) + 1))
+        try:
+            dims = list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            dims = []  # unparsable bounds get the same error as an empty range
         if not dims:
-            raise ValueError(f"empty dimension range {args.dim_range!r}")
+            raise _bad_option("--dim-range", args.dim_range, "A:B with integers A <= B")
         return dims
     return [args.dim]
 
@@ -115,6 +122,8 @@ def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState
     """`random:<seed>` or an explicit comma-separated amplitude list."""
     if spec.startswith("random"):
         _, _, seed_text = spec.partition(":")
+        if seed_text and not seed_text.isdecimal():
+            raise _bad_option("--input", spec, "random:<seed> with a non-negative integer seed")
         seed = int(seed_text) if seed_text else default_seed
         return haar_random_state((dim,), np.random.default_rng(seed)), seed
     try:
@@ -236,7 +245,10 @@ def cmd_cv(args) -> int:
 
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
-    xis = [float(tok) for tok in args.xi.split(",")]
+    try:
+        xis = [float(tok) for tok in args.xi.split(",")]
+    except ValueError:
+        raise _bad_option("--xi", args.xi, "comma-separated numbers") from None
     rows = []
     failed = None
     for xi in sorted(xis):
@@ -386,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise _bad_option("--seed", str(args.seed), "a non-negative integer")
         return args.func(args)
     except (ValueError, cv.GridResolutionError) as exc:
         return _fail(str(exc))

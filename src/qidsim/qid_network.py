@@ -25,8 +25,9 @@ and its reductions are
         K_d(v) = sum_w C[w, v] * conj(C[w - d, v - 2d]).
 
 Outputs 1 and 2 are circular correlations along the cyclic diagonals of
-rho, done by FFT in O(N^2 log N) time; output 3 takes O(N^3) time for its
-kernels K, and every output O(N^2) memory.  The joint state is built on
+rho, done by FFT in O(N^2 log N) time; output 3's kernels K are entries of
+one Gram product of sheared columns of C (one O(N^3) BLAS matrix product),
+and every output takes O(N^2) memory.  The joint state is built on
 demand, as an oracle, by the x-basis index permutation of
 :func:`build_qid_unitary` (never as an N^3 x N^3 matrix); the dense
 gate-by-gate product :func:`qid_by_gate_sequence` is the oracle for that
@@ -255,15 +256,27 @@ def _program_ket(program: ProgramState | PureState) -> PureState:
 
 
 def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
-    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), in O(N^3) time and
-    O(N^2) memory."""
+    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of one
+    Gram product of sheared columns of C.
+
+    With y_v[w] = C[w + s(v), v] and v' = v - 2d, K[d, v] = <y_{v'}, y_v>
+    whenever s(v) - s(v') = d.  For odd N, s(v) = v (N+1)/2 halves v mod N,
+    so this always holds.  For even N, s(v) = floor(v/2) leaves
+    s(v) - s(v') - d = 0 or N/2, and the N/2 case reads the Gram product
+    with the columns y_{v'} rolled by N/2.
+    """
     dim = coeffs.shape[0]
-    # periodic copy, so that every shifted conj(C) is a slice
-    tiled = np.tile(coeffs.conj(), (2, 3))
-    kernels = np.empty_like(coeffs)
-    for d in range(dim):
-        kernels[d] = (coeffs * tiled[dim - d:2 * dim - d, 2 * (dim - d):3 * dim - 2 * d]).sum(axis=0)
-    return kernels
+    v = np.arange(dim)
+    shear = v * ((dim + 1) // 2) % dim if dim % 2 else v // 2
+    sheared = coeffs[(v[:, None] + shear) % dim, v]
+    columns = [sheared]
+    if dim % 2 == 0:
+        columns.append(np.roll(sheared, -(dim // 2), axis=0))
+    gram = np.concatenate(columns, axis=1).conj().T @ sheared
+    delta = v[:, None]
+    v_prime = (v - 2 * delta) % dim
+    rolled = (shear - delta - shear[v_prime]) % dim != 0
+    return gram[v_prime + dim * rolled, v]
 
 
 def distribute(psi: PureState, program: ProgramState | PureState) -> DistributorOutput:

@@ -134,7 +134,15 @@ def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureStat
 
 
 class DensityOperator:
-    """Hermitian, positive, unit-trace operator over qudit registers."""
+    """Hermitian, positive, unit-trace operator over qudit registers.
+
+    Every construction checks, in order: shape, finite entries, Hermitian to
+    ``ATOL_CHAIN``, unit trace, and no eigenvalue below ``-ATOL_CHAIN``.  The
+    last check first tries a Cholesky factorisation of ``matrix + ATOL_CHAIN
+    * identity``, which exists when every eigenvalue is above
+    ``-ATOL_CHAIN``; only when it fails does the smallest eigenvalue from
+    ``eigvalsh`` decide.  Both read only the lower triangle.
+    """
 
     __slots__ = ("dims", "matrix")
 
@@ -151,9 +159,14 @@ class DensityOperator:
         tr = np.trace(mat)
         if not (abs(tr - 1.0) <= ATOL_CHAIN):
             raise ValueError(f"trace is {tr}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        if not (min_eig >= -ATOL_CHAIN):
-            raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        try:
+            np.linalg.cholesky(mat + ATOL_CHAIN * np.eye(d))
+        except np.linalg.LinAlgError:
+            # not factorable: the smallest eigenvalue is at or below -ATOL_CHAIN,
+            # or within roundoff of it
+            min_eig = float(np.linalg.eigvalsh(mat).min())
+            if not (min_eig >= -ATOL_CHAIN):
+                raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}") from None
         self.matrix = mat
 
     @property

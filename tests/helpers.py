@@ -1,5 +1,6 @@
 """Test-only helpers: operators and index maps the library itself does not
-need, and a numerical oracle for the closed-form kernel Wigner functions."""
+need, and numerical oracles for the third output's kernels and the
+closed-form kernel Wigner functions."""
 
 import math
 
@@ -27,6 +28,18 @@ def map_triple(gate: PermutationGate, n: int, m: int, k: int) -> tuple[int, int,
     d = gate.dim
     dest = int(gate.perm[(n * d + m) * d + k])
     return (dest // (d * d), (dest // d) % d, dest % d)
+
+
+def third_output_kernels_by_loop(coeffs: np.ndarray) -> np.ndarray:
+    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]) summed directly, one
+    shift d at a time: O(N^3) time, O(N^2) memory."""
+    dim = coeffs.shape[0]
+    # periodic copy, so that every shifted conj(C) is a slice
+    tiled = np.tile(coeffs.conj(), (2, 3))
+    kernels = np.empty_like(coeffs)
+    for d in range(dim):
+        kernels[d] = (coeffs * tiled[dim - d:2 * dim - d, 2 * (dim - d):3 * dim - 2 * d]).sum(axis=0)
+    return kernels
 
 
 def kernel_wigner_by_cosine_transform(

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from qidsim.cli import _exceeds, main
 
 
@@ -106,6 +108,13 @@ class TestDistribute:
         assert code == 0
         doc = json.loads(out)
         assert doc["max_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("dim", ("255", "256"))
+    def test_large_odd_and_even_dimensions(self, capsys, dim):
+        # odd and even N read output 3's Gram product differently
+        code, out, _ = run_cli(capsys, "distribute", "--dim", dim, "--alpha", "0.4")
+        assert code == 0
+        assert json.loads(out)["max_deviation"] <= 1e-10
 
 
 class TestCovariance:
@@ -291,6 +300,27 @@ class TestBadInput:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert repr(spec) in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        (
+            (("cv", "--xi", ","), "--xi", ","),
+            (("clone", "--dim-range", "a:b"), "--dim-range", "a:b"),
+            (("clone", "--dim-range", "3"), "--dim-range", "3"),
+            (("clone", "--dim-range", "5:2"), "--dim-range", "5:2"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:x"),
+             "--input", "random:x"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:-1"),
+             "--input", "random:-1"),
+            (("clone", "--seed", "-1"), "--seed", "-1"),
+        ),
+    )
+    def test_parse_errors_name_the_option(self, capsys, argv, option, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {option} expects") and err.count("\n") == 1
+        assert repr(value) in err
 
     def test_gates_fail_on_nan(self):
         assert _exceeds(math.nan, 1e-9)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qidsim.qid_network import (
     PermutationGate,
+    _third_output_kernels,
     apply_two_register_gate,
     build_qid_unitary,
     classical_distributor_fidelity,
@@ -35,7 +36,7 @@ from qidsim.qudit_core import (
     shift_x,
 )
 
-from helpers import map_triple
+from helpers import map_triple, third_output_kernels_by_loop
 
 
 def swap_target_state(psi: PureState) -> PureState:
@@ -212,6 +213,16 @@ class TestDistribution:
             assert np.abs(mat - mat.conj().T).max() <= 1e-12
             assert abs(np.trace(mat) - 1) <= 1e-12
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+    @pytest.mark.parametrize("dim", (*range(2, 10), 16, 64, 65, 128))
+    def test_third_output_kernels_match_loop(self, dim):
+        # odd N, N = 0 mod 4 and N = 2 mod 4 read the Gram product differently;
+        # a non-normalised complex C exercises every entry
+        rng = np.random.default_rng(dim)
+        coeffs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        oracle = third_output_kernels_by_loop(coeffs)
+        gap = np.abs(_third_output_kernels(coeffs) - oracle).max()
+        assert gap <= 1e-13 * np.abs(oracle).max()
 
     def test_joint_is_built_only_when_read(self, monkeypatch):
         def refuse(self, state):

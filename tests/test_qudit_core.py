@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qidsim.qudit_core import (
+    ATOL_CHAIN,
     DensityOperator,
     Operator,
     PureState,
@@ -39,6 +42,16 @@ def brute_force_reduction(state: PureState, keep) -> np.ndarray:
                 ib = np.ravel_multi_index([lb[i] for i in keep], kdims)
                 out[ia, ib] += rho_full[a, b]
     return out
+
+
+def unit_trace_with_min_eigenvalue(lowest: float, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """U diag(lowest, ...) U^dag for a random unitary U: Hermitian, unit
+    trace, smallest eigenvalue ``lowest``."""
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    mat = (q * np.concatenate([[lowest], rest])) @ q.conj().T
+    return (mat + mat.conj().T) / 2
 
 
 class TestFourier:
@@ -267,6 +280,46 @@ class TestStateAndOperatorValidation:
             DensityOperator((2,), np.array([[1.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             DensityOperator((2,), np.eye(2))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator((2,), np.diag([1.5, -0.5]))
+
+    def test_positivity_boundary(self):
+        # the tolerance is ATOL_CHAIN = 1e-10 on the smallest eigenvalue
+        rng = np.random.default_rng(11)
+        DensityOperator((4,), unit_trace_with_min_eigenvalue(-1e-11, 4, rng))
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-09"):
+            DensityOperator((4,), unit_trace_with_min_eigenvalue(-1e-9, 4, rng))
+        # exactly at the tolerance the shifted matrix is singular, so the
+        # factorisation fails and eigvalsh accepts
+        DensityOperator((2,), np.diag([1 + ATOL_CHAIN, -ATOL_CHAIN]))
+
+    def test_non_finite_rejected_before_factorisation(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("cholesky ran")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator((2,), np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        lowest=st.one_of(
+            st.floats(-1.2e-10, -0.8e-10), st.floats(-1e-9, 1e-9), st.floats(-0.5, 0.5)
+        ).filter(lambda x: abs(x + ATOL_CHAIN) >= 1e-12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_positivity_rule_matches_smallest_eigenvalue(self, dim, lowest, seed):
+        # off the boundary by more than roundoff, the Cholesky-first rule
+        # accepts exactly the matrices whose smallest eigenvalue is >= -ATOL_CHAIN
+        mat = unit_trace_with_min_eigenvalue(lowest, dim, np.random.default_rng(seed))
+        try:
+            DensityOperator((dim,), mat)
+            accepted = True
+        except ValueError as exc:
+            assert "negative eigenvalue" in str(exc)
+            accepted = False
+        assert accepted == (np.linalg.eigvalsh(mat).min() >= -ATOL_CHAIN)
 
     def test_unitary_check(self):
         with pytest.raises(ValueError):
