@@ -119,12 +119,14 @@ def _parse_dims(args) -> list[int]:
 
 
 def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState, int | None]:
-    """`random:<seed>` or an explicit comma-separated amplitude list."""
+    """`random`, `random:<seed>` or an explicit comma-separated amplitude list."""
     if spec.startswith("random"):
-        _, _, seed_text = spec.partition(":")
-        if seed_text and not seed_text.isdecimal():
-            raise _bad_option("--input", spec, "random:<seed> with a non-negative integer seed")
-        seed = int(seed_text) if seed_text else default_seed
+        name, colon, seed_text = spec.partition(":")
+        if name != "random" or (colon and not seed_text.isdecimal()):
+            raise _bad_option(
+                "--input", spec, "random or random:<seed> with a non-negative integer seed"
+            )
+        seed = int(seed_text) if colon else default_seed
         return haar_random_state((dim,), np.random.default_rng(seed)), seed
     try:
         amps = np.array([complex(tok) for tok in spec.split(",")])
@@ -269,13 +271,10 @@ def cmd_cv(args) -> int:
             grid = cv.GaussianState.vacuum().wigner_grid(
                 cv.WignerGrid.centered(cv.suggested_half_width(xi), args.grid)
             )
-            out1 = cv.output_wigner(grid, xi, alpha, beta, output=1)
-            out2 = cv.output_wigner(grid, xi, alpha, beta, output=2)
-            row["F1"] = cv.cv_fidelity(grid, out1)
-            row["F2"] = cv.cv_fidelity(grid, out2)
+            (row["F1"], mass1), (row["F2"], mass2) = cv.output_overlaps(grid, xi, alpha, beta)
             row["method"] = "grid"
             if args.dump_wigner:
-                _dump_wigner_grid(out1, xi, args)
+                _dump_wigner_grid(cv.output_wigner(grid, xi, alpha, beta, output=1), xi, args)
             # the grid is cross-checked against the exact closed form: a step
             # near the input's width aliases the fidelity's Riemann sum
             gap = _worst(abs(f - c) for f, c in zip((row["F1"], row["F2"]), closed))
@@ -286,7 +285,7 @@ def cmd_cv(args) -> int:
                 )
             # a lattice too coarse or too small for the input or the
             # broadened outputs loses mass, and its fidelities are wrong
-            masses = [w.total_mass() for w in (grid, out1, out2)]
+            masses = [grid.total_mass(), mass1, mass2]
             mass_error = _worst(abs(m - 1.0) for m in masses)
             if _exceeds(mass_error, 1e-6):
                 failed = (

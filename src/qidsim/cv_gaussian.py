@@ -18,8 +18,13 @@ each quantity one way, at every squeezing: an output Wigner grid is the
 sampled input convolved once, in Fourier space, with the weighted
 closed-form kernel characteristic functions (:func:`output_wigner`), and a
 vacuum-input output fidelity is an exact closed form
-(:func:`cv_fidelity_asymptotic`).  A squeezing strength ``xi`` is a plain
-float; every entry point rejects one that is negative or not finite.
+(:func:`cv_fidelity_asymptotic`).  The grid fidelities and output masses
+that cross-check that closed form need no output grid:
+:func:`output_overlaps` takes one forward FFT of the input, shared by both
+outputs, and reads each as a Parseval inner product with the kernel
+characteristic functions, with no inverse FFT.  An output grid is built
+only to be written out.  A squeezing strength ``xi`` is a plain float;
+every entry point rejects one that is negative or not finite.
 
 Only the output-1 kernel triple is written out.  The output-2 triple is
 derived from it: kernels 1 and 2 swap (pi = (1 <-> 2, 3 fixed)) and phase
@@ -70,6 +75,7 @@ __all__ = [
     "kernel_characteristic",
     "convolve_with_kernel",
     "output_wigner",
+    "output_overlaps",
     "cv_fidelity",
     "cv_fidelity_asymptotic",
     "suggested_half_width",
@@ -544,16 +550,15 @@ def kernel_wigner_value(
     return s * s * w
 
 
-def kernel_characteristic(
-    which: int, xi: float, kx: np.ndarray, kp: np.ndarray, output: int = 1
-) -> np.ndarray:
-    """Fourier transform iint W(x, p) exp(-i(kx x + kp p)) dx dp of the
-    kernel Wigner functions, in closed form (used by the convolution path so
-    narrow kernels never need real-space sampling).
+def _kernel_factors(
+    which: int, xi: float, kx: np.ndarray, kp: np.ndarray, output: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Separable factors (fx, fp, phase) of a kernel characteristic function,
+    chi(kx, kp) = fx(kx) * fp(kp) * cos(phase(kx, kp)).
 
-    Every exponential is evaluated on ``kx`` and ``kp`` alone and broadcast
-    together, so passing a column of ``kx`` and a row of ``kp`` costs one
-    2-D product (and one 2-D cosine for the cross kernel).
+    ``fx`` is evaluated on ``kx`` alone and ``fp`` on ``kp`` alone.  The
+    Gaussian kernels 1 and 2 have no cosine (``phase`` is None); only the
+    cross kernel's phase, lambda * kx * kp, is a product of both.
     """
     which, s = _output1_kernel(which, output)
     xi = _as_xi(xi)
@@ -563,16 +568,32 @@ def kernel_characteristic(
     two_pi = 2 * np.pi
     if which in (1, 2):
         var = b if which == 1 else math.cosh(2 * xi)
-        return (two_pi * np.exp(-var * kx**2 / 2)) * np.exp(-var * kp**2 / 2)
+        return two_pi * np.exp(-var * kx**2 / 2), np.exp(-var * kp**2 / 2), None
     d = a + 3 * b
     c = (a * a + b * b + 6) / (4 * d)
     g = b * (a - b) * kp / d
     scale = math.sqrt(two_pi) * (4 / math.sqrt(d)) * math.sqrt(np.pi / c)
     return (
-        (scale * np.exp(-kx**2 / (4 * c)))
-        * np.exp(-(1 + b * b) * kp**2 / d + g * g / (4 * c))
-        * np.cos(g * kx / (2 * c))
+        scale * np.exp(-kx**2 / (4 * c)),
+        np.exp(-(1 + b * b) * kp**2 / d + g * g / (4 * c)),
+        g * kx / (2 * c),
     )
+
+
+def kernel_characteristic(
+    which: int, xi: float, kx: np.ndarray, kp: np.ndarray, output: int = 1
+) -> np.ndarray:
+    """Fourier transform iint W(x, p) exp(-i(kx x + kp p)) dx dp of the
+    kernel Wigner functions, in closed form (used by the convolution path so
+    narrow kernels never need real-space sampling).
+
+    Built from :func:`_kernel_factors`: passing a column of ``kx`` and a row
+    of ``kp`` costs one 2-D product (and one 2-D cosine for the cross
+    kernel).
+    """
+    fx, fp, phase = _kernel_factors(which, xi, kx, kp, output)
+    chi = fx * fp
+    return chi if phase is None else chi * np.cos(phase)
 
 
 def _kernel_sigma(which: int, xi: float, output: int) -> float:
@@ -593,6 +614,47 @@ def _kernel_sigma(which: int, xi: float, output: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_weights(which: int | Mapping[int, float]) -> dict[int, float]:
+    """``{kernel: weight}`` from one kernel (weight 1) or a mapping, with
+    zero-weight kernels dropped."""
+    pairs = which.items() if isinstance(which, Mapping) else ((which, 1.0),)
+    weights = {_check_which(k): w for k, w in pairs}
+    return {k: w for k, w in weights.items() if w != 0.0}
+
+
+def _output_weights(alpha: float, beta: float) -> dict[int, float]:
+    # kernel 1 always carries the alpha^2 weight, kernel 2 the beta^2 weight;
+    # the output-2 triple already encodes the role reversal of the two modes
+    return _nonzero_weights({1: alpha * alpha, 2: beta * beta, 3: alpha * beta})
+
+
+def _widest_kernel(
+    grid: WignerGrid, weights: Mapping[int, float], xi: float, output: int
+) -> float:
+    """Spread of the widest weighted kernel of ``output``; raises
+    :class:`GridResolutionError` when the grid's half-range cannot hold it."""
+    sigma = max((_kernel_sigma(k, xi, output) for k in weights), default=0.0)
+    half = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min) / 2
+    if half < 4 * sigma:
+        raise GridResolutionError(
+            f"kernel spread {sigma:.3g} needs a grid half-range of at least "
+            f"{4 * sigma:.3g}, have {half:.3g}"
+        )
+    return sigma
+
+
+def _padded_shape(grid: WignerGrid, sigma: float) -> tuple[int, int]:
+    """FFT shape of the input zero padded for a kernel of spread ``sigma``."""
+    # 12 sigma of zero padding after the data: a wrapped-around contribution
+    # comes from at least 12 sigma away, where every kernel has vanished
+    mx = int(np.ceil(6 * sigma / grid.dx)) + 1
+    mp = int(np.ceil(6 * sigma / grid.dp)) + 1
+    return (
+        next_fast_len(grid.n_x + 2 * mx, real=True),
+        next_fast_len(grid.n_p + 2 * mp, real=True),
+    )
+
+
 def convolve_with_kernel(
     grid: WignerGrid, which: int | Mapping[int, float], xi: float, output: int = 1
 ) -> WignerGrid:
@@ -607,25 +669,9 @@ def convolve_with_kernel(
     nothing, and wide ones only require the lattice to be large enough to
     hold the broadened output.
     """
-    pairs = which.items() if isinstance(which, Mapping) else ((which, 1.0),)
-    weights = {_check_which(k): w for k, w in pairs}
-    weights = {k: w for k, w in weights.items() if w != 0.0}
+    weights = _nonzero_weights(which)
     xi = _as_xi(xi)
-    sigma = max((_kernel_sigma(k, xi, output) for k in weights), default=0.0)
-    half = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min) / 2
-    if half < 4 * sigma:
-        raise GridResolutionError(
-            f"kernel spread {sigma:.3g} needs a grid half-range of at least "
-            f"{4 * sigma:.3g}, have {half:.3g}"
-        )
-    # 12 sigma of zero padding after the data: a wrapped-around contribution
-    # comes from at least 12 sigma away, where every kernel has vanished
-    mx = int(np.ceil(6 * sigma / grid.dx)) + 1
-    mp = int(np.ceil(6 * sigma / grid.dp)) + 1
-    shape = (
-        next_fast_len(grid.n_x + 2 * mx, real=True),
-        next_fast_len(grid.n_p + 2 * mp, real=True),
-    )
+    shape = _padded_shape(grid, _widest_kernel(grid, weights, xi, output))
     kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
     kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
     spectrum = sum(
@@ -648,10 +694,66 @@ def output_wigner(
     """
     if output not in (1, 2):
         raise ValueError(f"output must be 1 or 2, got {output!r}")
-    # kernel 1 always carries the alpha^2 weight, kernel 2 the beta^2 weight;
-    # the output-2 triple already encodes the role reversal of the two modes
-    weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-    return convolve_with_kernel(input_grid, weights, xi, output=output)
+    return convolve_with_kernel(input_grid, _output_weights(alpha, beta), xi, output=output)
+
+
+def output_overlaps(
+    input_grid: WignerGrid, xi: float, alpha: float, beta: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((F1, mass1), (F2, mass2)): each output's grid fidelity
+    ``cv_fidelity(input_grid, W_out)`` and its Riemann mass
+    ``W_out.total_mass()`` on the input lattice, with W_out as
+    :func:`output_wigner` computes it, but without an output grid.
+
+    The input is zero padded once, to the widest weighted kernel of either
+    output, and transformed once: A = rfft2(W).  Since W vanishes outside
+    the input lattice, Parseval turns both Riemann sums into inner products
+    on the half spectrum,
+
+        F    = dx dp / (2pi)^2 / M * sum_k w_k |A_k|^2 H_k
+        mass = dx dp / (2pi)^2 / M * sum_k w_k Re(conj(I_k) A_k) H_k
+
+    where M is the number of padded points, H the output's weighted kernel
+    characteristic function, I the transform of the lattice's indicator
+    (separable, so it costs two 1-D FFTs) and w the Hermitian weight of a
+    half-spectrum column: 1 for column 0 and an even Nyquist column, 2
+    otherwise.  Every H is even in kx, so the rows of kx and -kx are added
+    before any kernel is applied.  Each kernel's H is fx(kx) fp(kp), so a
+    Gaussian kernel costs a matrix-vector product and only the cross kernel
+    a 2-D cosine.  :class:`GridResolutionError` is raised per output, as by
+    :func:`output_wigner`.
+    """
+    xi = _as_xi(xi)
+    weights = _output_weights(alpha, beta)
+    sigma = max(_widest_kernel(input_grid, weights, xi, output) for output in (1, 2))
+    shape = _padded_shape(input_grid, sigma)
+    spec = rfft2(input_grid.values, s=shape)
+    indicator_x = np.fft.fft(np.ones(input_grid.n_x), shape[0])
+    indicator_p = np.fft.rfft(np.ones(input_grid.n_p), shape[1])
+    # the two spectra whose H-weighted sums are F and the mass
+    spectra = np.empty((2, *spec.shape))
+    spectra[0] = spec.real**2 + spec.imag**2
+    spectra[1] = (np.outer(indicator_x.conj(), indicator_p.conj()) * spec).real
+    # every H is even in kx: add row -kx to row kx and keep the rows of
+    # kx >= 0, then weight the half-spectrum columns
+    rows = shape[0] // 2 + 1
+    spectra[:, 1 : (shape[0] + 1) // 2] += spectra[:, : rows - 1 : -1]
+    spectra = spectra[:, :rows]
+    spectra[..., 1:] *= 2.0
+    if shape[1] % 2 == 0:
+        spectra[..., -1] /= 2.0
+    kx = 2 * np.pi * np.fft.rfftfreq(shape[0], d=input_grid.dx)
+    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=input_grid.dp)
+    scale = input_grid.dx * input_grid.dp / (2 * np.pi) ** 2 / (shape[0] * shape[1])
+    overlaps = []
+    for output in (1, 2):
+        total = np.zeros(2)
+        for k, w in weights.items():
+            fx, fp, phase = _kernel_factors(k, xi, kx[:, None], kp[None, :], output)
+            weighted = spectra if phase is None else spectra * np.cos(phase)
+            total += w * ((weighted @ fp[0]) @ fx[:, 0])
+        overlaps.append((float(scale * total[0]), float(scale * total[1])))
+    return overlaps[0], overlaps[1]
 
 
 def cv_fidelity(w_in: WignerGrid, w_out: WignerGrid) -> float:

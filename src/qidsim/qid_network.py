@@ -26,8 +26,9 @@ and its reductions are
 
 Outputs 1 and 2 are circular correlations along the cyclic diagonals of
 rho, done by FFT in O(N^2 log N) time; output 3's kernels K are entries of
-one Gram product of sheared columns of C (one O(N^3) BLAS matrix product),
-and every output takes O(N^2) memory.  The joint state is built on
+Gram products of sheared columns of C (N^3 multiply-adds in BLAS matrix
+products: one N x N product for odd N, one N x N/2 product per column
+parity for even N), and every output takes O(N^2) memory.  The joint state is built on
 demand, as an oracle, by the x-basis index permutation of
 :func:`build_qid_unitary` (never as an N^3 x N^3 matrix); the dense
 gate-by-gate product :func:`qid_by_gate_sequence` is the oracle for that
@@ -256,27 +257,33 @@ def _program_ket(program: ProgramState | PureState) -> PureState:
 
 
 def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
-    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of one
-    Gram product of sheared columns of C.
+    """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of Gram
+    products of sheared columns of C.
 
     With y_v[w] = C[w + s(v), v] and v' = v - 2d, K[d, v] = <y_{v'}, y_v>
     whenever s(v) - s(v') = d.  For odd N, s(v) = v (N+1)/2 halves v mod N,
-    so this always holds.  For even N, s(v) = floor(v/2) leaves
-    s(v) - s(v') - d = 0 or N/2, and the N/2 case reads the Gram product
-    with the columns y_{v'} rolled by N/2.
+    so this always holds and one N x N product gives every entry.  For even
+    N, s(v) = floor(v/2) leaves s(v) - s(v') - d = 0 or N/2, and the N/2
+    case reads the product with the columns y_{v'} rolled by N/2.  There
+    v' has v's parity, so the products are taken per parity: two N x N/2
+    products, half the work of one over all pairs.
     """
     dim = coeffs.shape[0]
     v = np.arange(dim)
     shear = v * ((dim + 1) // 2) % dim if dim % 2 else v // 2
     sheared = coeffs[(v[:, None] + shear) % dim, v]
-    columns = [sheared]
-    if dim % 2 == 0:
-        columns.append(np.roll(sheared, -(dim // 2), axis=0))
-    gram = np.concatenate(columns, axis=1).conj().T @ sheared
     delta = v[:, None]
     v_prime = (v - 2 * delta) % dim
+    if dim % 2:
+        return (sheared.conj().T @ sheared)[v_prime, v]
+    half = dim // 2
+    gram = np.empty((2, dim, half), dtype=sheared.dtype)
+    for parity in (0, 1):
+        y = sheared[:, parity::2]
+        z = np.concatenate([y, np.roll(y, -half, axis=0)], axis=1)
+        np.matmul(z.conj().T, y, out=gram[parity])
     rolled = (shear - delta - shear[v_prime]) % dim != 0
-    return gram[v_prime + dim * rolled, v]
+    return gram[v % 2, v_prime // 2 + half * rolled, v // 2]
 
 
 def distribute(psi: PureState, program: ProgramState | PureState) -> DistributorOutput:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qidsim import cv_gaussian
 from qidsim.cli import _exceeds, main
 
 
@@ -189,6 +190,32 @@ class TestCv:
         )
         assert abs(total - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("dump, forward, inverse", ((False, 2, 0), (True, 4, 2)))
+    def test_one_forward_fft_per_grid_row(self, tmp_path, monkeypatch, capsys, dump, forward, inverse):
+        # F1, F2 and the output masses come from one rfft2 of the input per
+        # grid xi and no inverse transform; only --dump-wigner builds the
+        # output-1 grid, by one more rfft2/irfft2 pair (xi = 4 is closed form)
+        calls = {"rfft2": 0, "irfft2": 0}
+
+        def counted(name):
+            fft = getattr(cv_gaussian, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fft(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(cv_gaussian, name, counted(name))
+        argv = ["cv", "--xi", "0.5,1,4", "--grid", "256"]
+        if dump:
+            argv += ["--dump-wigner", str(tmp_path / "w")]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
+        assert calls == {"rfft2": forward, "irfft2": inverse}
+
 
 class TestCoherentClone:
     def test_reports_values_and_flags_target_mismatch(self, capsys):
@@ -313,6 +340,12 @@ class TestBadInput:
             (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:-1"),
              "--input", "random:-1"),
             (("clone", "--seed", "-1"), "--seed", "-1"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random7"),
+             "--input", "random7"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "randomly"),
+             "--input", "randomly"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:"),
+             "--input", "random:"),
         ),
     )
     def test_parse_errors_name_the_option(self, capsys, argv, option, value):

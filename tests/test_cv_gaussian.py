@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import irfft2, rfft2
 from scipy.integrate import quad
 
+from qidsim import cv_gaussian
 from qidsim.cv_gaussian import (
     GaussianState,
     GridResolutionError,
@@ -24,6 +26,7 @@ from qidsim.cv_gaussian import (
     kernel_eval,
     kernel_norm_expected,
     kernel_wigner_value,
+    output_overlaps,
     output_wigner,
     p0_wavefunction,
     qid_position_matrix,
@@ -537,6 +540,113 @@ class TestOutputWigner:
         grid = VACUUM.wigner_grid(WignerGrid.centered(4.0, 128))
         with pytest.raises(GridResolutionError):
             output_wigner(grid, 2.0, 0.5, solve_cv_beta(0.5, 2.0))
+
+
+def overlaps_in_real_space(grid, xi, alpha, beta):
+    """((F1, mass1), (F2, mass2)) from the output grids themselves."""
+    outs = [output_wigner(grid, xi, alpha, beta, output=k) for k in (1, 2)]
+    return tuple((cv_fidelity(grid, out), out.total_mass()) for out in outs)
+
+
+class TestOutputOverlaps:
+    """Fidelities and masses as spectral inner products, against the output
+    grids of the real-space path."""
+
+    @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0, 2.0, 3.0))
+    def test_vacuum_matches_output_grids(self, xi):
+        # alpha = 0 and 1 leave two of the three kernels at zero weight.
+        # The masses get 2e-13: at xi = 3, alpha = 1 output 1 is the
+        # e^{-3}-narrow kernel alone, which output_wigner pads by two points
+        # (540 per axis, against 800 here).  The kernel's spectrum is cut at
+        # the Nyquist frequency, and the ringing this leaves wraps around the
+        # short padding: that mass is 1.3e-13 from its value at 4096 points,
+        # and this one is 1.6e-14 from it.
+        grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
+        for alpha in (0.0, 0.3, math.sqrt(0.5), 0.95, 1.0):
+            beta = solve_cv_beta(alpha, xi)
+            got = np.array(output_overlaps(grid, xi, alpha, beta))
+            want = np.array(overlaps_in_real_space(grid, xi, alpha, beta))
+            assert np.abs(got[:, 0] - want[:, 0]).max() < 1e-13
+            assert np.abs(got[:, 1] - want[:, 1]).max() < 2e-13
+
+    @pytest.mark.parametrize(
+        "lattice, odd_axis",
+        (
+            ((-9.0, 11.0, -10.0, 8.5, 301, 257), 0),
+            ((-8.5, 10.0, -9.0, 9.5, 300, 271), 1),
+        ),
+    )
+    def test_off_centre_coherent_input_on_odd_padding(self, lattice, odd_axis):
+        # non-square lattices whose padded FFT shape is odd along one axis:
+        # along axis 1 the half spectrum then has no Nyquist column
+        xi, alpha = 1.0, 0.6
+        beta = solve_cv_beta(alpha, xi)
+        x_min, x_max, p_min, p_max, n_x, n_p = lattice
+        blank = WignerGrid(x_min, x_max, p_min, p_max, n_x, n_p, np.zeros((n_x, n_p)))
+        grid = GaussianState.coherent(0.7 + 0.4j).wigner_grid(blank)
+        weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
+        sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
+        assert cv_gaussian._padded_shape(grid, sigma)[odd_axis] % 2 == 1
+        got = output_overlaps(grid, xi, alpha, beta)
+        want = overlaps_in_real_space(grid, xi, alpha, beta)
+        assert np.abs(np.subtract(got, want)).max() < 1e-13
+
+    @pytest.mark.parametrize("n_p, odd_width", ((30, False), (31, True)))
+    def test_rough_input_weighs_every_column(self, n_p, odd_width):
+        # Parseval holds for any real grid: random values put weight on the
+        # Nyquist column (even padded width) that a smooth input leaves empty.
+        # Such an input also feels where the narrow kernels' spectra are cut
+        # at the Nyquist frequency, and the result then depends on the padded
+        # shape (by 6e-6 here), so the output grids are convolved at the
+        # shape output_overlaps pads to
+        xi, alpha = 0.5, 0.6
+        beta = solve_cv_beta(alpha, xi)
+        values = np.random.default_rng(8).standard_normal((37, n_p))
+        grid = WignerGrid(-6.0, 7.0, -5.0, 6.5, 37, n_p, values)
+        weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
+        sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
+        shape = cv_gaussian._padded_shape(grid, sigma)
+        assert shape[1] % 2 == odd_width
+        kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
+        kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
+        spectrum = rfft2(grid.values, s=shape)
+        want = []
+        for output in (1, 2):
+            chi = sum(
+                w * kernel_characteristic(k, xi, kx[:, None], kp[None, :], output=output)
+                for k, w in weights.items()
+            )
+            out = irfft2(spectrum * chi, s=shape)[: grid.n_x, : grid.n_p] / (2 * np.pi)
+            want.append((cv_fidelity(grid, grid.like(out)), grid.like(out).total_mass()))
+        got = output_overlaps(grid, xi, alpha, beta)
+        assert np.abs(np.subtract(got, want)).max() < 1e-13
+
+    def test_mass_is_cropped_to_the_input_lattice(self):
+        # a half-range just over 4 sigma: the outputs spill past the lattice,
+        # so the cropped mass is short of 1 while the padded spectrum's total
+        # (its zero-frequency term) is not
+        xi, alpha = 0.0, math.sqrt(0.5)
+        beta = solve_cv_beta(alpha, xi)
+        grid = VACUUM.wigner_grid(WignerGrid.centered(4.05, 128))
+        got = output_overlaps(grid, xi, alpha, beta)
+        want = overlaps_in_real_space(grid, xi, alpha, beta)
+        assert all(mass < 1.0 - 5e-5 for _, mass in want)
+        assert np.abs(np.subtract(got, want)).max() < 1e-13
+
+    @pytest.mark.parametrize("alpha, failing", ((0.5, 1), (1.0, 2)))
+    def test_guard_per_output(self, alpha, failing):
+        # the same GridResolutionError as the real-space path, output 1
+        # first; at alpha = 1 only output 2 holds the wide kernel
+        xi = 2.0
+        beta = solve_cv_beta(alpha, xi)
+        grid = VACUUM.wigner_grid(WignerGrid.centered(4.0, 128))
+        for output in range(1, failing):
+            output_wigner(grid, xi, alpha, beta, output=output)
+        with pytest.raises(GridResolutionError) as real_space:
+            output_wigner(grid, xi, alpha, beta, output=failing)
+        with pytest.raises(GridResolutionError) as spectral:
+            output_overlaps(grid, xi, alpha, beta)
+        assert str(spectral.value) == str(real_space.value)
 
 
 class TestWignerGrid:
