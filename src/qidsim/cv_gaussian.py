@@ -19,12 +19,17 @@ sampled input convolved once, in Fourier space, with the weighted
 closed-form kernel characteristic functions (:func:`output_wigner`), and a
 vacuum-input output fidelity is an exact closed form
 (:func:`cv_fidelity_asymptotic`).  The grid fidelities and output masses
-that cross-check that closed form need no output grid:
-:func:`output_overlaps` takes one forward FFT of the input, shared by both
-outputs, and reads each as a Parseval inner product with the kernel
-characteristic functions, with no inverse FFT.  An output grid is built
-only to be written out.  A squeezing strength ``xi`` is a plain float;
-every entry point rejects one that is negative or not finite.
+that cross-check that closed form need neither an output grid nor a 2-D
+input grid.  A state without x-p correlation, as every sampled input is,
+has the product Wigner function u(x) v(p) (:meth:`GaussianState.wigner_factors`),
+and the Gaussian kernels' characteristic functions factor into kx and kp
+parts; only the cross kernel's cos(lambda kx kp) does not.
+:func:`output_overlaps` therefore takes one padded 1-D FFT per input
+factor, shared by both outputs, and reads each output as a Parseval inner
+product: a product of 1-D sums per Gaussian kernel and one cosine-matrix
+product for the cross kernel.  A 2-D grid is built only to be convolved
+and written out.  A squeezing strength ``xi`` is a plain float; every
+entry point rejects one that is negative or not finite.
 
 Only the output-1 kernel triple is written out.  The output-2 triple is
 derived from it: kernels 1 and 2 swap (pi = (1 <-> 2, 3 fixed)) and phase
@@ -47,7 +52,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import fft, irfft2, next_fast_len, rfft, rfft2
 
 __all__ = [
     "XI_GRID_MAX",
@@ -314,15 +319,37 @@ class GaussianState:
             / np.sqrt(np.linalg.det(self.cov))
         )
 
+    def wigner_factors(self, lattice: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
+        """1-D factors (u, v) of a single-mode state's Wigner function on
+        ``lattice``: W(x[i], p[j]) = u[i] * v[j].  Only a state without x-p
+        correlation (covariance entry S_01 = 0) factors; any other raises
+        :class:`ValueError`."""
+        u, v, cross = self._wigner_factors(lattice)
+        if cross != 0.0:
+            raise ValueError("a state with x-p correlation has no product Wigner function")
+        return u, v
+
     def wigner_grid(self, grid: WignerGrid) -> WignerGrid:
-        """Sample a single-mode state's Wigner function on ``grid``'s lattice."""
+        """Sample a single-mode state's Wigner function on ``grid``'s lattice:
+        the outer product of its 1-D factors, times exp(-S^-1_01 dx dp) for a
+        state with x-p correlation."""
+        u, v, cross = self._wigner_factors(grid)
+        values = np.outer(u, v)
+        if cross != 0.0:
+            values *= np.exp(-cross * np.outer(grid.x - self.mean[0], grid.p - self.mean[1]))
+        return grid.like(values)
+
+    def _wigner_factors(self, lattice: WignerGrid) -> tuple[np.ndarray, np.ndarray, float]:
+        """(u, v, S^-1_01): W = u[i] v[j] exp(-S^-1_01 dx[i] dp[j]) on
+        ``lattice``, with dx, dp the offsets from the mean."""
         if self.modes != 1:
             raise ValueError("grid sampling is for single-mode states")
-        xg, pg = grid.meshgrid()
-        inv = np.linalg.inv(self.cov)
-        dxg, dpg = xg - self.mean[0], pg - self.mean[1]
-        q = inv[0, 0] * dxg**2 + 2 * inv[0, 1] * dxg * dpg + inv[1, 1] * dpg**2
-        return grid.like(np.exp(-0.5 * q) / np.sqrt(np.linalg.det(self.cov)))
+        (s_xx, s_xp), (_, s_pp) = self.cov
+        det = s_xx * s_pp - s_xp * s_xp
+        dx, dp = lattice.x - self.mean[0], lattice.p - self.mean[1]
+        u = np.exp(-0.5 * (s_pp / det) * dx**2) / math.sqrt(det)
+        v = np.exp(-0.5 * (s_xx / det) * dp**2)
+        return u, v, -s_xp / det
 
 
 def tensor_gaussian(*states: GaussianState) -> GaussianState:
@@ -698,60 +725,85 @@ def output_wigner(
 
 
 def output_overlaps(
-    input_grid: WignerGrid, xi: float, alpha: float, beta: float
+    lattice: WignerGrid,
+    u: np.ndarray,
+    v: np.ndarray,
+    xi: float,
+    alpha: float,
+    beta: float,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((F1, mass1), (F2, mass2)): each output's grid fidelity
-    ``cv_fidelity(input_grid, W_out)`` and its Riemann mass
-    ``W_out.total_mass()`` on the input lattice, with W_out as
-    :func:`output_wigner` computes it, but without an output grid.
+    """((F1, mass1), (F2, mass2)) for the product input W[i, j] = u[i] v[j]
+    on ``lattice`` (whose own values are not read): each output's grid
+    fidelity ``cv_fidelity(W, W_out)`` and its Riemann mass
+    ``W_out.total_mass()`` on the lattice, with W_out as
+    :func:`output_wigner` computes it, but without an output grid and
+    without a 2-D FFT.
 
     The input is zero padded once, to the widest weighted kernel of either
-    output, and transformed once: A = rfft2(W).  Since W vanishes outside
-    the input lattice, Parseval turns both Riemann sums into inner products
-    on the half spectrum,
+    output.  Since W vanishes outside the lattice, Parseval turns both
+    Riemann sums into inner products on the half spectrum,
 
         F    = dx dp / (2pi)^2 / M * sum_k w_k |A_k|^2 H_k
         mass = dx dp / (2pi)^2 / M * sum_k w_k Re(conj(I_k) A_k) H_k
 
-    where M is the number of padded points, H the output's weighted kernel
-    characteristic function, I the transform of the lattice's indicator
-    (separable, so it costs two 1-D FFTs) and w the Hermitian weight of a
-    half-spectrum column: 1 for column 0 and an even Nyquist column, 2
-    otherwise.  Every H is even in kx, so the rows of kx and -kx are added
-    before any kernel is applied.  Each kernel's H is fx(kx) fp(kp), so a
-    Gaussian kernel costs a matrix-vector product and only the cross kernel
-    a 2-D cosine.  :class:`GridResolutionError` is raised per output, as by
-    :func:`output_wigner`.
+    where M is the number of padded points, A = fft(u) (x) rfft(v) the
+    input's transform, H the output's weighted kernel characteristic
+    function, I the transform of the lattice's indicator and w the
+    Hermitian weight of a half-spectrum column: 1 for column 0 and an even
+    Nyquist column, 2 otherwise.  Both spectra are products of an x and a
+    p factor (the indicator is separable too), so the input costs one
+    padded 1-D FFT per axis.  Every H is even
+    in kx, so the x factors' rows of kx and -kx are added before any kernel
+    is applied.  A Gaussian kernel's H is fx(kx) fp(kp), and its sums are
+    products of 1-D sums; the cross kernel's cos(lambda kx kp) costs one
+    (rows x cols) cosine matrix per output.  :class:`GridResolutionError`
+    is raised per output, as by :func:`output_wigner`; factors whose shapes
+    are not (n_x,) and (n_p,) raise :class:`ValueError`.
     """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.shape != (lattice.n_x,) or v.shape != (lattice.n_p,):
+        raise ValueError(
+            f"factor shapes {u.shape} and {v.shape} do not match the lattice's "
+            f"({lattice.n_x},) and ({lattice.n_p},)"
+        )
     xi = _as_xi(xi)
     weights = _output_weights(alpha, beta)
-    sigma = max(_widest_kernel(input_grid, weights, xi, output) for output in (1, 2))
-    shape = _padded_shape(input_grid, sigma)
-    spec = rfft2(input_grid.values, s=shape)
-    indicator_x = np.fft.fft(np.ones(input_grid.n_x), shape[0])
-    indicator_p = np.fft.rfft(np.ones(input_grid.n_p), shape[1])
-    # the two spectra whose H-weighted sums are F and the mass
-    spectra = np.empty((2, *spec.shape))
-    spectra[0] = spec.real**2 + spec.imag**2
-    spectra[1] = (np.outer(indicator_x.conj(), indicator_p.conj()) * spec).real
+    sigma = max(_widest_kernel(lattice, weights, xi, output) for output in (1, 2))
+    shape = _padded_shape(lattice, sigma)
+    a_x, a_p = fft(u, shape[0]), rfft(v, shape[1])
+    # x factors (rows) and p factors (columns) of |A|^2 and Re(conj(I) A).
+    # conj(I_x) a_x is the transform of a real sequence, so its imaginary
+    # part is odd in kx and drops out of the kx fold: the mass spectrum's x
+    # factor is Re(conj(I_x) a_x) after the fold
+    x_parts = np.stack([
+        a_x.real**2 + a_x.imag**2,
+        (fft(np.ones(lattice.n_x), shape[0]).conj() * a_x).real,
+    ])
+    p_parts = np.stack([
+        a_p.real**2 + a_p.imag**2,
+        (rfft(np.ones(lattice.n_p), shape[1]).conj() * a_p).real,
+    ])
     # every H is even in kx: add row -kx to row kx and keep the rows of
     # kx >= 0, then weight the half-spectrum columns
     rows = shape[0] // 2 + 1
-    spectra[:, 1 : (shape[0] + 1) // 2] += spectra[:, : rows - 1 : -1]
-    spectra = spectra[:, :rows]
-    spectra[..., 1:] *= 2.0
+    x_parts[:, 1 : (shape[0] + 1) // 2] += x_parts[:, : rows - 1 : -1]
+    x_parts = x_parts[:, :rows]
+    p_parts[:, 1:] *= 2.0
     if shape[1] % 2 == 0:
-        spectra[..., -1] /= 2.0
-    kx = 2 * np.pi * np.fft.rfftfreq(shape[0], d=input_grid.dx)
-    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=input_grid.dp)
-    scale = input_grid.dx * input_grid.dp / (2 * np.pi) ** 2 / (shape[0] * shape[1])
+        p_parts[:, -1] /= 2.0
+    kx = 2 * np.pi * np.fft.rfftfreq(shape[0], d=lattice.dx)
+    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=lattice.dp)
+    scale = lattice.dx * lattice.dp / (2 * np.pi) ** 2 / (shape[0] * shape[1])
     overlaps = []
     for output in (1, 2):
         total = np.zeros(2)
         for k, w in weights.items():
             fx, fp, phase = _kernel_factors(k, xi, kx[:, None], kp[None, :], output)
-            weighted = spectra if phase is None else spectra * np.cos(phase)
-            total += w * ((weighted @ fp[0]) @ fx[:, 0])
+            left, right = x_parts * fx[:, 0], p_parts * fp[0]
+            if phase is None:
+                total += w * left.sum(axis=1) * right.sum(axis=1)
+            else:
+                total += w * ((left @ np.cos(phase)) * right).sum(axis=1)
         overlaps.append((float(scale * total[0]), float(scale * total[1])))
     return overlaps[0], overlaps[1]
 

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qidsim import cv_gaussian
@@ -97,6 +102,25 @@ class TestDistribute:
         doc = json.loads(out)
         assert abs(doc["rho1_fidelity"] - doc["predicted"]["rho1_fidelity"]) < 1e-10
 
+    @pytest.mark.parametrize("spec", ("1e308,1e308,0,0", "1e-320,0,0,0", "0,1.7e308j,-1.7e308,0"))
+    def test_extreme_finite_amplitudes(self, capsys, spec):
+        # the norm would overflow or underflow without scaling by the
+        # largest part first
+        code, out, err = run_cli(
+            capsys, "distribute", "--dim", "4", "--alpha", "0.5", "--input", spec
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert abs(doc["rho1_fidelity"] - doc["predicted"]["rho1_fidelity"]) < 1e-10
+
+    def test_zero_amplitudes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distribute", "--dim", "2", "--alpha", "0.5", "--input", "0,-0j"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: input spec has zero norm\n"
+
     def test_malformed_input_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "distribute", "--dim", "2", "--alpha", "0.5", "--input", "1,oops"
@@ -190,11 +214,11 @@ class TestCv:
         )
         assert abs(total - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("dump, forward, inverse", ((False, 2, 0), (True, 4, 2)))
-    def test_one_forward_fft_per_grid_row(self, tmp_path, monkeypatch, capsys, dump, forward, inverse):
-        # F1, F2 and the output masses come from one rfft2 of the input per
-        # grid xi and no inverse transform; only --dump-wigner builds the
-        # output-1 grid, by one more rfft2/irfft2 pair (xi = 4 is closed form)
+    @pytest.mark.parametrize("dump, forward, inverse", ((False, 0, 0), (True, 2, 2)))
+    def test_grid_rows_take_no_2d_fft(self, tmp_path, monkeypatch, capsys, dump, forward, inverse):
+        # F1, F2 and the output masses come from 1-D transforms of the
+        # input's two factors; only --dump-wigner builds the output-1 grid,
+        # by one rfft2/irfft2 pair per grid xi (xi = 4 is closed form)
         calls = {"rfft2": 0, "irfft2": 0}
 
         def counted(name):
@@ -215,6 +239,32 @@ class TestCv:
         assert code == 0
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
         assert calls == {"rfft2": forward, "irfft2": inverse}
+
+    def test_kernel_norm_gate_catches_a_wide_kernel(self, monkeypatch, capsys):
+        # a kernel 1% too wide integrates to 1.01 times its weight
+        exact = cv_gaussian.kernel_eval
+
+        def too_wide(which, xi, xbar, eta, output=1):
+            return exact(which, xi, xbar, np.asarray(eta) / 1.01, output=output)
+
+        monkeypatch.setattr(cv_gaussian, "kernel_eval", too_wide)
+        code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", "128")
+        assert code == 1
+        assert err.startswith("error: kernel normalisation residual")
+        (row,) = parse_csv(out)
+        assert all(abs(float(row[f"k{k}_residual"])) > 1e-6 for k in (1, 2, 3))
+
+    def test_cold_start_skips_scipy_integrate(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            "from qidsim.cli import main\n"
+            "code = main(['cv', '--xi', '0.5', '--grid', '128'])\n"
+            "sys.exit(code or 'scipy.integrate' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCoherentClone:

@@ -548,9 +548,15 @@ def overlaps_in_real_space(grid, xi, alpha, beta):
     return tuple((cv_fidelity(grid, out), out.total_mass()) for out in outs)
 
 
+def sampled_factors(state, lattice):
+    """The state's 1-D Wigner factors on ``lattice`` and their 2-D grid."""
+    u, v = state.wigner_factors(lattice)
+    return u, v, lattice.like(np.outer(u, v))
+
+
 class TestOutputOverlaps:
-    """Fidelities and masses as spectral inner products, against the output
-    grids of the real-space path."""
+    """Fidelities and masses of a product input as spectral inner products,
+    against the output grids of the real-space path."""
 
     @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0, 2.0, 3.0))
     def test_vacuum_matches_output_grids(self, xi):
@@ -561,10 +567,10 @@ class TestOutputOverlaps:
         # the Nyquist frequency, and the ringing this leaves wraps around the
         # short padding: that mass is 1.3e-13 from its value at 4096 points,
         # and this one is 1.6e-14 from it.
-        grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
+        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(suggested_half_width(xi), 512))
         for alpha in (0.0, 0.3, math.sqrt(0.5), 0.95, 1.0):
             beta = solve_cv_beta(alpha, xi)
-            got = np.array(output_overlaps(grid, xi, alpha, beta))
+            got = np.array(output_overlaps(grid, u, v, xi, alpha, beta))
             want = np.array(overlaps_in_real_space(grid, xi, alpha, beta))
             assert np.abs(got[:, 0] - want[:, 0]).max() < 1e-13
             assert np.abs(got[:, 1] - want[:, 1]).max() < 2e-13
@@ -583,26 +589,28 @@ class TestOutputOverlaps:
         beta = solve_cv_beta(alpha, xi)
         x_min, x_max, p_min, p_max, n_x, n_p = lattice
         blank = WignerGrid(x_min, x_max, p_min, p_max, n_x, n_p, np.zeros((n_x, n_p)))
-        grid = GaussianState.coherent(0.7 + 0.4j).wigner_grid(blank)
+        u, v, grid = sampled_factors(GaussianState.coherent(0.7 + 0.4j), blank)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
         sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
         assert cv_gaussian._padded_shape(grid, sigma)[odd_axis] % 2 == 1
-        got = output_overlaps(grid, xi, alpha, beta)
+        got = output_overlaps(grid, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
     @pytest.mark.parametrize("n_p, odd_width", ((30, False), (31, True)))
     def test_rough_input_weighs_every_column(self, n_p, odd_width):
-        # Parseval holds for any real grid: random values put weight on the
-        # Nyquist column (even padded width) that a smooth input leaves empty.
+        # Parseval holds for any real product grid: random factors put weight
+        # on the Nyquist column (even padded width) that a smooth input leaves
+        # empty.
         # Such an input also feels where the narrow kernels' spectra are cut
         # at the Nyquist frequency, and the result then depends on the padded
         # shape (by 6e-6 here), so the output grids are convolved at the
         # shape output_overlaps pads to
         xi, alpha = 0.5, 0.6
         beta = solve_cv_beta(alpha, xi)
-        values = np.random.default_rng(8).standard_normal((37, n_p))
-        grid = WignerGrid(-6.0, 7.0, -5.0, 6.5, 37, n_p, values)
+        rng = np.random.default_rng(8)
+        u, v = rng.standard_normal(37), rng.standard_normal(n_p)
+        grid = WignerGrid(-6.0, 7.0, -5.0, 6.5, 37, n_p, np.outer(u, v))
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
         sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
         shape = cv_gaussian._padded_shape(grid, sigma)
@@ -618,7 +626,7 @@ class TestOutputOverlaps:
             )
             out = irfft2(spectrum * chi, s=shape)[: grid.n_x, : grid.n_p] / (2 * np.pi)
             want.append((cv_fidelity(grid, grid.like(out)), grid.like(out).total_mass()))
-        got = output_overlaps(grid, xi, alpha, beta)
+        got = output_overlaps(grid, u, v, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
     def test_mass_is_cropped_to_the_input_lattice(self):
@@ -627,8 +635,8 @@ class TestOutputOverlaps:
         # (its zero-frequency term) is not
         xi, alpha = 0.0, math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
-        grid = VACUUM.wigner_grid(WignerGrid.centered(4.05, 128))
-        got = output_overlaps(grid, xi, alpha, beta)
+        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(4.05, 128))
+        got = output_overlaps(grid, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert all(mass < 1.0 - 5e-5 for _, mass in want)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
@@ -639,20 +647,49 @@ class TestOutputOverlaps:
         # first; at alpha = 1 only output 2 holds the wide kernel
         xi = 2.0
         beta = solve_cv_beta(alpha, xi)
-        grid = VACUUM.wigner_grid(WignerGrid.centered(4.0, 128))
+        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(4.0, 128))
         for output in range(1, failing):
             output_wigner(grid, xi, alpha, beta, output=output)
         with pytest.raises(GridResolutionError) as real_space:
             output_wigner(grid, xi, alpha, beta, output=failing)
         with pytest.raises(GridResolutionError) as spectral:
-            output_overlaps(grid, xi, alpha, beta)
+            output_overlaps(grid, u, v, xi, alpha, beta)
         assert str(spectral.value) == str(real_space.value)
+
+    @pytest.mark.parametrize("shapes", (((128,), (127,)), ((127,), (128,)), ((128, 128), (128,))))
+    def test_rejects_factors_off_the_lattice(self, shapes):
+        lattice = WignerGrid.centered(8.0, 128)
+        u, v = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="factor shapes"):
+            output_overlaps(lattice, u, v, 0.5, 0.6, solve_cv_beta(0.6, 0.5))
 
 
 class TestWignerGrid:
     def test_vacuum_mass(self):
         grid = VACUUM.wigner_grid(WignerGrid.centered(6.0, 301))
         assert abs(grid.total_mass() - 1.0) < 1e-9
+
+    def test_correlated_state_matches_pointwise_wigner(self):
+        # x-p correlation adds the exp(-S^-1_01 dx dp) factor to the product
+        # of the 1-D factors, on a non-square off-centre lattice
+        state = GaussianState(np.array([0.3, -0.2]), np.array([[0.9, 0.35], [0.35, 0.6]]))
+        lattice = WignerGrid(-4.0, 5.0, -3.5, 3.0, 31, 29, np.zeros((31, 29)))
+        grid = state.wigner_grid(lattice)
+        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        assert np.abs(grid.values - np.array(want)).max() < 1e-12
+        with pytest.raises(ValueError, match="x-p correlation"):
+            state.wigner_factors(lattice)
+
+    def test_factors_of_an_uncorrelated_state(self):
+        state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
+        lattice = WignerGrid(-5.0, 6.0, -4.0, 4.5, 23, 19, np.zeros((23, 19)))
+        u, v = state.wigner_factors(lattice)
+        assert u.shape == (23,) and v.shape == (19,)
+        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        assert np.abs(np.outer(u, v) - np.array(want)).max() < 1e-12
+        assert np.array_equal(state.wigner_grid(lattice).values, np.outer(u, v))
+        with pytest.raises(ValueError, match="single-mode"):
+            GaussianState.vacuum(2).wigner_factors(lattice)
 
     def test_moments_of_displaced_gaussian(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))

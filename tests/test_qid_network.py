@@ -355,6 +355,27 @@ class TestCovariance:
         )
         assert worst < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_program_ket_is_covariant(self, dim, seed, data):
+        # shifting the input by X^n Z^m shifts outputs 1 and 2 by X^n Z^m and
+        # output 3 by X^n Z^-m, for program kets outside the two-parameter
+        # family too; the shifted input's outputs also match the joint oracle
+        n = data.draw(st.integers(0, dim - 1), label="n")
+        m = data.draw(st.integers(0, dim - 1), label="m")
+        rng = np.random.default_rng(seed)
+        psi = haar_random_state((dim,), rng)
+        ket = haar_random_state((dim, dim), rng)
+        s12 = (shift_x(dim, n) @ shift_p(dim, m)).matrix
+        s3 = (shift_x(dim, n) @ shift_p(dim, -m)).matrix
+        base = distribute(psi, ket)
+        moved = distribute(PureState((dim,), s12 @ psi.amplitudes), ket)
+        outputs = zip((moved.rho1, moved.rho2, moved.rho3), (base.rho1, base.rho2, base.rho3))
+        for register, ((rho, rho_base), s) in enumerate(zip(outputs, (s12, s12, s3))):
+            oracle = partial_trace(moved.joint, (register,)).matrix
+            assert np.abs(rho.matrix - s @ rho_base.matrix @ s.conj().T).max() <= 1e-12
+            assert np.abs(rho.matrix - oracle).max() <= 1e-12
+
     def test_clone_fidelity_invariant_under_shifts(self):
         dim = 3
         psi = haar_random_state((dim,), np.random.default_rng(6))
