@@ -27,8 +27,9 @@ from .qudit_core import PureState, fidelity, haar_random_state
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
-# trapezoid nodes of the kernel-norm check: a spacing of sigma / 33 over +-12 sigma
-KERNEL_NORM_NODES = 801
+# trapezoid nodes of the kernel-norm check on each side of eta = 0: a spacing
+# of sigma / 33 over +-12 sigma
+KERNEL_NORM_HALF_NODES = 400
 
 
 def _fmt(value) -> str:
@@ -251,15 +252,17 @@ def _dump_wigner_grid(grid, xi: float, args) -> None:
 
 def _kernel_norm(which: int, xi: float) -> float:
     """(1/sqrt(2 pi)) * integral K(0; eta) d eta of an output-1 kernel by the
-    trapezoid rule on KERNEL_NORM_NODES nodes over +-12 sigma.
+    trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes over +-12 sigma.
 
     The bounds scale with the kernel, which can be e^{-xi}-narrow.  The
     integrand is a Gaussian of width at most sigma, so the rule's error,
     exp(-2 pi^2 (sigma / h)^2) at node spacing h = sigma / 33, and the
-    truncated tails, exp(-72), are both far below rounding.
+    truncated tails, exp(-72), are both far below rounding.  The nodes are
+    integer multiples of h, so the peak eta = 0 is always one of them and a
+    kernel that is NaN there fails the check.
     """
-    bound = 12 * cv._kernel_sigma(which, xi, 1)
-    eta, h = np.linspace(-bound, bound, KERNEL_NORM_NODES, retstep=True)
+    h = 12 * cv._kernel_sigma(which, xi, 1) / KERNEL_NORM_HALF_NODES
+    eta = h * np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1)
     k = cv.kernel_eval(which, xi, 0.0, eta)
     return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
 
@@ -285,7 +288,7 @@ def cmd_cv(args) -> int:
         if xi <= cv.XI_GRID_MAX:
             # the vacuum input is u(x) v(p) on the lattice; a 2-D grid is
             # sampled only to be convolved and written out
-            lattice = cv.WignerGrid.centered(cv.suggested_half_width(xi), args.grid)
+            lattice = cv.Lattice.centered(cv.suggested_half_width(xi), args.grid)
             u, v = cv.GaussianState.vacuum().wigner_factors(lattice)
             (row["F1"], mass1), (row["F2"], mass2) = cv.output_overlaps(
                 lattice, u, v, xi, alpha, beta

@@ -24,7 +24,8 @@ input grid.  A state without x-p correlation, as every sampled input is,
 has the product Wigner function u(x) v(p) (:meth:`GaussianState.wigner_factors`),
 and the Gaussian kernels' characteristic functions factor into kx and kp
 parts; only the cross kernel's cos(lambda kx kp) does not.
-:func:`output_overlaps` therefore takes one padded 1-D FFT per input
+:func:`output_overlaps` therefore is given only the factors and the
+lattice's geometry (a :class:`Lattice`).  It takes one padded 1-D FFT per
 factor, shared by both outputs, and reads each output as a Parseval inner
 product: a product of 1-D sums per Gaussian kernel and one cosine-matrix
 product for the cross kernel.  A 2-D grid is built only to be convolved
@@ -57,6 +58,7 @@ from scipy.fft import fft, irfft2, next_fast_len, rfft, rfft2
 __all__ = [
     "XI_GRID_MAX",
     "GridResolutionError",
+    "Lattice",
     "WignerGrid",
     "GaussianState",
     "symplectic_form",
@@ -119,14 +121,9 @@ def _ab(xi: float) -> tuple[float, float]:
 
 
 @dataclass
-class WignerGrid:
-    """Real-valued quasi-probability sampled on a rectangular (x, p) lattice.
-
-    ``values[i, j]`` is W(x[i], p[j]) with both axes inclusive of their
-    endpoints.  Integrals are plain Riemann sums with the dx dp / 2pi
-    measure; ranges are meant to be generous enough (several sigma) that
-    tail truncation is negligible.
-    """
+class Lattice:
+    """Rectangular (x, p) sampling lattice, both axes inclusive of their
+    endpoints: the geometry of a :class:`WignerGrid` without its values."""
 
     x_min: float
     x_max: float
@@ -134,17 +131,12 @@ class WignerGrid:
     p_max: float
     n_x: int
     n_p: int
-    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n_x < 2 or self.n_p < 2:
             raise ValueError("grids need at least two points per axis")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError("empty grid range")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n_x, self.n_p):
-            raise ValueError(f"values shape {vals.shape} != ({self.n_x}, {self.n_p})")
-        self.values = vals
 
     @property
     def dx(self) -> float:
@@ -165,6 +157,47 @@ class WignerGrid:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.p, indexing="ij")
 
+    def same_lattice(self, other: "Lattice", tol: float = 1e-9) -> bool:
+        return (
+            self.n_x == other.n_x
+            and self.n_p == other.n_p
+            and abs(self.x_min - other.x_min) < tol
+            and abs(self.x_max - other.x_max) < tol
+            and abs(self.p_min - other.p_min) < tol
+            and abs(self.p_max - other.p_max) < tol
+        )
+
+    def like(self, values: np.ndarray) -> "WignerGrid":
+        """A :class:`WignerGrid` of ``values`` on this lattice."""
+        return WignerGrid(
+            self.x_min, self.x_max, self.p_min, self.p_max, self.n_x, self.n_p, values
+        )
+
+    @classmethod
+    def centered(cls, half_width: float, n: int = 512) -> "Lattice":
+        """Square lattice over [-half_width, half_width]^2."""
+        return cls(-half_width, half_width, -half_width, half_width, n, n)
+
+
+@dataclass
+class WignerGrid(Lattice):
+    """Real-valued quasi-probability sampled on a rectangular (x, p) lattice.
+
+    ``values[i, j]`` is W(x[i], p[j]) with both axes inclusive of their
+    endpoints.  Integrals are plain Riemann sums with the dx dp / 2pi
+    measure; ranges are meant to be generous enough (several sigma) that
+    tail truncation is negligible.
+    """
+
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        vals = np.asarray(self.values, dtype=float)
+        if vals.shape != (self.n_x, self.n_p):
+            raise ValueError(f"values shape {vals.shape} != ({self.n_x}, {self.n_p})")
+        self.values = vals
+
     def total_mass(self) -> float:
         """(1/2pi) * iint W dx dp by Riemann sum."""
         return float(self.values.sum() * self.dx * self.dp / (2 * np.pi))
@@ -183,27 +216,10 @@ class WignerGrid:
         )
         return mean, cov
 
-    def same_lattice(self, other: "WignerGrid", tol: float = 1e-9) -> bool:
-        return (
-            self.n_x == other.n_x
-            and self.n_p == other.n_p
-            and abs(self.x_min - other.x_min) < tol
-            and abs(self.x_max - other.x_max) < tol
-            and abs(self.p_min - other.p_min) < tol
-            and abs(self.p_max - other.p_max) < tol
-        )
-
-    def like(self, values: np.ndarray) -> "WignerGrid":
-        return WignerGrid(
-            self.x_min, self.x_max, self.p_min, self.p_max, self.n_x, self.n_p, values
-        )
-
     @classmethod
     def centered(cls, half_width: float, n: int = 512) -> "WignerGrid":
         """Square lattice over [-half_width, half_width]^2, all zeros."""
-        return cls(
-            -half_width, half_width, -half_width, half_width, n, n, np.zeros((n, n))
-        )
+        return Lattice.centered(half_width, n).like(np.zeros((n, n)))
 
     def to_csv(self, stream) -> None:
         """(x, p, value) triples, comma separated, 17 significant digits."""
@@ -319,37 +335,39 @@ class GaussianState:
             / np.sqrt(np.linalg.det(self.cov))
         )
 
-    def wigner_factors(self, lattice: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
+    def wigner_factors(self, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
         """1-D factors (u, v) of a single-mode state's Wigner function on
         ``lattice``: W(x[i], p[j]) = u[i] * v[j].  Only a state without x-p
         correlation (covariance entry S_01 = 0) factors; any other raises
         :class:`ValueError`."""
-        u, v, cross = self._wigner_factors(lattice)
-        if cross != 0.0:
+        qx, qp, qxp, det = self._wigner_exponents(lattice)
+        if qxp is not None:
             raise ValueError("a state with x-p correlation has no product Wigner function")
-        return u, v
+        return np.exp(qx) / math.sqrt(det), np.exp(qp)
 
-    def wigner_grid(self, grid: WignerGrid) -> WignerGrid:
+    def wigner_grid(self, grid: Lattice) -> WignerGrid:
         """Sample a single-mode state's Wigner function on ``grid``'s lattice:
-        the outer product of its 1-D factors, times exp(-S^-1_01 dx dp) for a
-        state with x-p correlation."""
-        u, v, cross = self._wigner_factors(grid)
-        values = np.outer(u, v)
-        if cross != 0.0:
-            values *= np.exp(-cross * np.outer(grid.x - self.mean[0], grid.p - self.mean[1]))
-        return grid.like(values)
+        the outer product of its 1-D factors, or for a state with x-p
+        correlation one exp of the summed exponents (along the ridge of a
+        squeezed, rotated state the factors underflow while the x-p factor
+        alone overflows)."""
+        qx, qp, qxp, det = self._wigner_exponents(grid)
+        if qxp is None:
+            return grid.like(np.outer(np.exp(qx) / math.sqrt(det), np.exp(qp)))
+        return grid.like(np.exp(qx[:, None] + qp[None, :] + qxp) / math.sqrt(det))
 
-    def _wigner_factors(self, lattice: WignerGrid) -> tuple[np.ndarray, np.ndarray, float]:
-        """(u, v, S^-1_01): W = u[i] v[j] exp(-S^-1_01 dx[i] dp[j]) on
-        ``lattice``, with dx, dp the offsets from the mean."""
+    def _wigner_exponents(
+        self, lattice: Lattice
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
+        """(qx, qp, qxp, det S): W = exp(qx[i] + qp[j] + qxp[i, j]) / sqrt(det S)
+        on ``lattice``; ``qxp`` is None for a state without x-p correlation."""
         if self.modes != 1:
             raise ValueError("grid sampling is for single-mode states")
         (s_xx, s_xp), (_, s_pp) = self.cov
         det = s_xx * s_pp - s_xp * s_xp
         dx, dp = lattice.x - self.mean[0], lattice.p - self.mean[1]
-        u = np.exp(-0.5 * (s_pp / det) * dx**2) / math.sqrt(det)
-        v = np.exp(-0.5 * (s_xx / det) * dp**2)
-        return u, v, -s_xp / det
+        qxp = None if s_xp == 0.0 else (s_xp / det) * np.outer(dx, dp)
+        return -0.5 * (s_pp / det) * dx**2, -0.5 * (s_xx / det) * dp**2, qxp, det
 
 
 def tensor_gaussian(*states: GaussianState) -> GaussianState:
@@ -656,7 +674,7 @@ def _output_weights(alpha: float, beta: float) -> dict[int, float]:
 
 
 def _widest_kernel(
-    grid: WignerGrid, weights: Mapping[int, float], xi: float, output: int
+    grid: Lattice, weights: Mapping[int, float], xi: float, output: int
 ) -> float:
     """Spread of the widest weighted kernel of ``output``; raises
     :class:`GridResolutionError` when the grid's half-range cannot hold it."""
@@ -670,7 +688,7 @@ def _widest_kernel(
     return sigma
 
 
-def _padded_shape(grid: WignerGrid, sigma: float) -> tuple[int, int]:
+def _padded_shape(grid: Lattice, sigma: float) -> tuple[int, int]:
     """FFT shape of the input zero padded for a kernel of spread ``sigma``."""
     # 12 sigma of zero padding after the data: a wrapped-around contribution
     # comes from at least 12 sigma away, where every kernel has vanished
@@ -725,7 +743,7 @@ def output_wigner(
 
 
 def output_overlaps(
-    lattice: WignerGrid,
+    lattice: Lattice,
     u: np.ndarray,
     v: np.ndarray,
     xi: float,
@@ -733,7 +751,7 @@ def output_overlaps(
     beta: float,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """((F1, mass1), (F2, mass2)) for the product input W[i, j] = u[i] v[j]
-    on ``lattice`` (whose own values are not read): each output's grid
+    on ``lattice``, a geometry only: each output's grid
     fidelity ``cv_fidelity(W, W_out)`` and its Riemann mass
     ``W_out.total_mass()`` on the lattice, with W_out as
     :func:`output_wigner` computes it, but without an output grid and

@@ -254,6 +254,16 @@ class TestCv:
         (row,) = parse_csv(out)
         assert all(abs(float(row[f"k{k}_residual"])) > 1e-6 for k in (1, 2, 3))
 
+    def test_kernel_norm_gate_catches_a_nan_kernel(self, capsys):
+        # at xi = 177.6, e^{4 xi} overflows in the cross kernel's exponent,
+        # which is NaN at its peak eta = 0; the rule always samples that node
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code, out, err = run_cli(capsys, "cv", "--xi", "177.6")
+        assert code == 1
+        assert err == "error: kernel normalisation residual nan at xi=177.6\n"
+        (row,) = parse_csv(out)
+        assert row["k3_norm"] == "nan"
+
     def test_cold_start_skips_scipy_integrate(self):
         src = Path(__file__).resolve().parents[1] / "src"
         script = (

@@ -11,6 +11,7 @@ from qidsim import cv_gaussian
 from qidsim.cv_gaussian import (
     GaussianState,
     GridResolutionError,
+    Lattice,
     WignerGrid,
     apply_symplectic,
     cloner_program_gaussian,
@@ -567,10 +568,11 @@ class TestOutputOverlaps:
         # the Nyquist frequency, and the ringing this leaves wraps around the
         # short padding: that mass is 1.3e-13 from its value at 4096 points,
         # and this one is 1.6e-14 from it.
-        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(suggested_half_width(xi), 512))
+        lattice = Lattice.centered(suggested_half_width(xi), 512)
+        u, v, grid = sampled_factors(VACUUM, lattice)
         for alpha in (0.0, 0.3, math.sqrt(0.5), 0.95, 1.0):
             beta = solve_cv_beta(alpha, xi)
-            got = np.array(output_overlaps(grid, u, v, xi, alpha, beta))
+            got = np.array(output_overlaps(lattice, u, v, xi, alpha, beta))
             want = np.array(overlaps_in_real_space(grid, xi, alpha, beta))
             assert np.abs(got[:, 0] - want[:, 0]).max() < 1e-13
             assert np.abs(got[:, 1] - want[:, 1]).max() < 2e-13
@@ -587,13 +589,12 @@ class TestOutputOverlaps:
         # along axis 1 the half spectrum then has no Nyquist column
         xi, alpha = 1.0, 0.6
         beta = solve_cv_beta(alpha, xi)
-        x_min, x_max, p_min, p_max, n_x, n_p = lattice
-        blank = WignerGrid(x_min, x_max, p_min, p_max, n_x, n_p, np.zeros((n_x, n_p)))
-        u, v, grid = sampled_factors(GaussianState.coherent(0.7 + 0.4j), blank)
+        lattice = Lattice(*lattice)
+        u, v, grid = sampled_factors(GaussianState.coherent(0.7 + 0.4j), lattice)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-        sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
-        assert cv_gaussian._padded_shape(grid, sigma)[odd_axis] % 2 == 1
-        got = output_overlaps(grid, u, v, xi, alpha, beta)
+        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
+        assert cv_gaussian._padded_shape(lattice, sigma)[odd_axis] % 2 == 1
+        got = output_overlaps(lattice, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
@@ -610,10 +611,11 @@ class TestOutputOverlaps:
         beta = solve_cv_beta(alpha, xi)
         rng = np.random.default_rng(8)
         u, v = rng.standard_normal(37), rng.standard_normal(n_p)
-        grid = WignerGrid(-6.0, 7.0, -5.0, 6.5, 37, n_p, np.outer(u, v))
+        lattice = Lattice(-6.0, 7.0, -5.0, 6.5, 37, n_p)
+        grid = lattice.like(np.outer(u, v))
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-        sigma = max(cv_gaussian._widest_kernel(grid, weights, xi, k) for k in (1, 2))
-        shape = cv_gaussian._padded_shape(grid, sigma)
+        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
+        shape = cv_gaussian._padded_shape(lattice, sigma)
         assert shape[1] % 2 == odd_width
         kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
         kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
@@ -626,7 +628,7 @@ class TestOutputOverlaps:
             )
             out = irfft2(spectrum * chi, s=shape)[: grid.n_x, : grid.n_p] / (2 * np.pi)
             want.append((cv_fidelity(grid, grid.like(out)), grid.like(out).total_mass()))
-        got = output_overlaps(grid, u, v, xi, alpha, beta)
+        got = output_overlaps(lattice, u, v, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
     def test_mass_is_cropped_to_the_input_lattice(self):
@@ -635,8 +637,9 @@ class TestOutputOverlaps:
         # (its zero-frequency term) is not
         xi, alpha = 0.0, math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
-        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(4.05, 128))
-        got = output_overlaps(grid, u, v, xi, alpha, beta)
+        lattice = Lattice.centered(4.05, 128)
+        u, v, grid = sampled_factors(VACUUM, lattice)
+        got = output_overlaps(lattice, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert all(mass < 1.0 - 5e-5 for _, mass in want)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
@@ -647,18 +650,19 @@ class TestOutputOverlaps:
         # first; at alpha = 1 only output 2 holds the wide kernel
         xi = 2.0
         beta = solve_cv_beta(alpha, xi)
-        u, v, grid = sampled_factors(VACUUM, WignerGrid.centered(4.0, 128))
+        lattice = Lattice.centered(4.0, 128)
+        u, v, grid = sampled_factors(VACUUM, lattice)
         for output in range(1, failing):
             output_wigner(grid, xi, alpha, beta, output=output)
         with pytest.raises(GridResolutionError) as real_space:
             output_wigner(grid, xi, alpha, beta, output=failing)
         with pytest.raises(GridResolutionError) as spectral:
-            output_overlaps(grid, u, v, xi, alpha, beta)
+            output_overlaps(lattice, u, v, xi, alpha, beta)
         assert str(spectral.value) == str(real_space.value)
 
     @pytest.mark.parametrize("shapes", (((128,), (127,)), ((127,), (128,)), ((128, 128), (128,))))
     def test_rejects_factors_off_the_lattice(self, shapes):
-        lattice = WignerGrid.centered(8.0, 128)
+        lattice = Lattice.centered(8.0, 128)
         u, v = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValueError, match="factor shapes"):
             output_overlaps(lattice, u, v, 0.5, 0.6, solve_cv_beta(0.6, 0.5))
@@ -673,16 +677,33 @@ class TestWignerGrid:
         # x-p correlation adds the exp(-S^-1_01 dx dp) factor to the product
         # of the 1-D factors, on a non-square off-centre lattice
         state = GaussianState(np.array([0.3, -0.2]), np.array([[0.9, 0.35], [0.35, 0.6]]))
-        lattice = WignerGrid(-4.0, 5.0, -3.5, 3.0, 31, 29, np.zeros((31, 29)))
+        lattice = Lattice(-4.0, 5.0, -3.5, 3.0, 31, 29)
         grid = state.wigner_grid(lattice)
         want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
         assert np.abs(grid.values - np.array(want)).max() < 1e-12
         with pytest.raises(ValueError, match="x-p correlation"):
             state.wigner_factors(lattice)
 
+    @pytest.mark.parametrize("r", (1.5, 2.0))
+    def test_squeezed_rotated_state_along_its_ridge(self, r):
+        # a vacuum squeezed by r and rotated by 45 degrees: along the ridge
+        # dx = dp the product of the 1-D factors underflows (e^{-873} at
+        # r = 2, dx = dp = 4) while the x-p factor alone overflows
+        c = math.sqrt(0.5)
+        rotate = np.array([[c, -c], [c, c]])
+        state = apply_symplectic(rotate @ np.diag([math.exp(r), math.exp(-r)]), VACUUM)
+        lattice = Lattice.centered(6.0, 61)
+        grid = state.wigner_grid(lattice)
+        assert np.isfinite(grid.values).all()
+        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        assert np.abs(grid.values - np.array(want)).max() < 1e-12
+        # the state is pure, det S = 1/4
+        ridge = 2 * np.exp(-2 * lattice.x**2 * math.exp(-2 * r))
+        assert np.abs(np.diag(grid.values) - ridge).max() < 1e-12
+
     def test_factors_of_an_uncorrelated_state(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
-        lattice = WignerGrid(-5.0, 6.0, -4.0, 4.5, 23, 19, np.zeros((23, 19)))
+        lattice = Lattice(-5.0, 6.0, -4.0, 4.5, 23, 19)
         u, v = state.wigner_factors(lattice)
         assert u.shape == (23,) and v.shape == (19,)
         want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
@@ -690,6 +711,15 @@ class TestWignerGrid:
         assert np.array_equal(state.wigner_grid(lattice).values, np.outer(u, v))
         with pytest.raises(ValueError, match="single-mode"):
             GaussianState.vacuum(2).wigner_factors(lattice)
+
+    def test_lattice_is_geometry_only(self):
+        lattice = Lattice.centered(3.0, 7)
+        assert not hasattr(lattice, "values")
+        grid = lattice.like(np.ones((7, 7)))
+        assert isinstance(grid, WignerGrid) and grid.same_lattice(lattice)
+        assert grid.dx == lattice.dx == 1.0
+        with pytest.raises(ValueError, match="two points"):
+            Lattice(-1.0, 1.0, -1.0, 1.0, 1, 4)
 
     def test_moments_of_displaced_gaussian(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
