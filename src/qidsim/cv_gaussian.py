@@ -23,7 +23,7 @@ that cross-check that closed form need neither an output grid nor a 2-D
 input grid.  A state without x-p correlation, as every sampled input is,
 has the product Wigner function u(x) v(p) (:meth:`GaussianState.wigner_factors`),
 and the Gaussian kernels' characteristic functions factor into kx and kp
-parts; only the cross kernel's cos(lambda kx kp) does not.
+parts; only the cross kernel's cos(twist kx kp / det) does not.
 :func:`output_overlaps` therefore is given only the factors and the
 lattice's geometry (a :class:`Lattice`).  It takes one padded 1-D FFT per
 factor, shared by both outputs, and reads each output as a Parseval inner
@@ -32,17 +32,18 @@ product for the cross kernel.  A 2-D grid is built only to be convolved
 and written out.  A squeezing strength ``xi`` is a plain float; every
 entry point rejects one that is negative or not finite.
 
-Only the output-1 kernel triple is written out.  The output-2 triple is
-derived from it: kernels 1 and 2 swap (pi = (1 <-> 2, 3 fixed)) and phase
-space stretches by s = sqrt(2),
+Every reduction kernel of either output has the Wigner function
 
-    K(2)_k(xbar, eta) = s * K(1)_pi(k)(xbar / s, s * eta)
-    W(2)_k(x, p)      = s^2 * W(1)_pi(k)(s * x, s * p)
-    chi(2)_k(kappa)   = chi(1)_pi(k)(kappa / s)
-    sigma(2)_k        = sigma(1)_pi(k) / s
+    W(x, p) = amp * exp(-(x^2 + p^2) / (2 var)) * cos(twist * x * p),
 
-so the second output's Gaussian overlaps are the first's with alpha and beta
-swapped and both Gaussian kernel variances halved.
+with twist = 0 for the two Gaussian kernels (the Gaussian Heisenberg-Weyl
+cloner structure of N. J. Cerf, J. Mod. Opt. 47, 187 (2000)).  The
+(amp, var, twist) table in :func:`_kernel_form` is the only place that
+knows the kernels: output 2's triples are output 1's with kernels 1 and 2
+swapped and phase space stretched by s = sqrt(2), i.e. (2 amp, var / 2,
+2 twist).  The kernel K, its Wigner function W, W's Fourier transform chi,
+its width sigma = sqrt(var) and its vacuum overlap are each one expression
+on the triple.
 """
 
 from __future__ import annotations
@@ -201,20 +202,6 @@ class WignerGrid(Lattice):
     def total_mass(self) -> float:
         """(1/2pi) * iint W dx dp by Riemann sum."""
         return float(self.values.sum() * self.dx * self.dp / (2 * np.pi))
-
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, covariance) of the grid treated as a distribution."""
-        xg, pg = self.meshgrid()
-        w = self.values / self.values.sum()
-        mean = np.array([(xg * w).sum(), (pg * w).sum()])
-        dxg, dpg = xg - mean[0], pg - mean[1]
-        cov = np.array(
-            [
-                [(dxg * dxg * w).sum(), (dxg * dpg * w).sum()],
-                [(dxg * dpg * w).sum(), (dpg * dpg * w).sum()],
-            ]
-        )
-        return mean, cov
 
     @classmethod
     def centered(cls, half_width: float, n: int = 512) -> "WignerGrid":
@@ -495,9 +482,10 @@ def solve_cv_beta(alpha: float, xi: float) -> float:
 
 def k3_total_weight(xi: float) -> float:
     """4 / sqrt(4 + 2 sinh^2 2 xi): the cross-kernel weight, equal to twice
-    the overlap of the entangled and product program branches."""
+    the overlap of the entangled and product program branches.  The root is
+    taken by :func:`math.hypot`, as the square overflows once xi passes 177."""
     xi = _as_xi(xi)
-    return 4.0 / math.sqrt(4.0 + 2.0 * math.sinh(2 * xi) ** 2)
+    return 4 / math.hypot(2, math.sqrt(2) * math.sinh(2 * xi))
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +496,9 @@ def k3_total_weight(xi: float) -> float:
 #     rho(y, y') = (1/sqrt(2 pi)) * integral K(y - y'; eta) psi(y - eta)
 #                  psi*(y' - eta) d eta
 # with K = alpha^2 K1 + beta^2 K2 + alpha beta K3; slot conventions are
-# always (xbar, eta) = (matrix-element difference, displacement).  The
-# output-2 triple is derived from the output-1 one by the identities in the
-# module docstring.
+# always (xbar, eta) = (matrix-element difference, displacement).  Every
+# form below is one expression on the kernel's (amp, var, twist) from
+# :func:`_kernel_form`.
 # ---------------------------------------------------------------------------
 
 
@@ -520,44 +508,52 @@ def _check_which(which: int) -> int:
     return which
 
 
-def _output1_kernel(which: int, output: int) -> tuple[int, float]:
-    """(output-1 kernel, stretch s) from which kernel ``which`` of
-    ``output`` is derived."""
+def _kernel_form(which: int, xi: float, output: int) -> tuple[float, float, float]:
+    """(amp, var, twist) of kernel ``which`` of ``output``: its Wigner
+    function is amp * exp(-(x^2 + p^2) / (2 var)) * cos(twist * x * p).
+
+    Output 2 swaps kernels 1 and 2 and stretches phase space by s = sqrt(2),
+    W(2)_k(x, p) = s^2 W(1)_pi(k)(s x, s p), so its triple is
+    (2 amp, var / 2, 2 twist) of the output-1 one.
+    """
     which = _check_which(which)
+    if output not in (1, 2):
+        raise ValueError(f"output must be 1 or 2, got {output!r}")
+    xi = _as_xi(xi)
+    a, b = _ab(xi)
+    c = math.cosh(2 * xi)
+    one_b2 = 1 + b * b
+    table = {
+        1: (a, b, 0.0),
+        2: (1 / c, c, 0.0),
+        3: (4 / math.sqrt(2 * one_b2), 2 * one_b2 / (a + 3 * b), b * (a - b) / (2 * one_b2)),
+    }
     if output == 1:
-        return which, 1.0
-    if output == 2:
-        return (2, 1, 3)[which - 1], math.sqrt(2)
-    raise ValueError(f"output must be 1 or 2, got {output!r}")
+        return table[which]
+    amp, var, twist = table[(2, 1, 3)[which - 1]]
+    return 2 * amp, var / 2, 2 * twist
 
 
 def kernel_eval(
     which: int, xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
 ) -> np.ndarray:
-    """Closed-form reduction kernels K1, K2, K3 of either output.
+    """Closed-form reduction kernels K1, K2, K3 of either output,
 
-    The cross kernel K3 has even/odd structure exp(+c*xbar*eta) +
-    exp(-c*xbar*eta); the product xbar*eta in the exponent is what direct
-    quadrature of the defining integral yields.
+        K = amp sqrt(var) exp(-var xbar^2 / 2 - (1/var + var twist^2) eta^2 / 2)
+            * cosh(var twist xbar eta)
+
+    on the kernel's (amp, var, twist).  The cross kernel's cosh, the even
+    part of exp(+-var twist xbar eta), is what direct quadrature of the
+    defining integral yields.
     """
-    which, s = _output1_kernel(which, output)
-    xi = _as_xi(xi)
-    a, b = _ab(xi)
-    xbar = np.asarray(xbar, dtype=float) / s
-    eta = np.asarray(eta, dtype=float) * s
-    if which == 1:
-        k = math.exp(xi) * np.exp(-b * xbar**2 / 2 - a * eta**2 / 2)
-    elif which == 2:
-        c = math.cosh(2 * xi)
-        k = np.exp(-c * xbar**2 / 2 - eta**2 / (2 * c)) / math.sqrt(c)
-    else:
-        d = a + 3 * b
-        k = (
-            (2 / math.sqrt(d))
-            * np.exp(-(1 + b * b) * xbar**2 / d - (a * a + b * b + 6) * eta**2 / (4 * d))
-            * 2 * np.cosh(b * (a - b) * xbar * eta / d)
-        )
-    return s * k
+    amp, var, twist = _kernel_form(which, xi, output)
+    xbar = np.asarray(xbar, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    return (
+        amp * math.sqrt(var)
+        * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
+        * np.cosh(var * twist * xbar * eta)
+    )
 
 
 def kernel_norm_expected(which: int, xi: float) -> float:
@@ -569,30 +565,16 @@ def kernel_norm_expected(which: int, xi: float) -> float:
 def kernel_wigner_value(
     which: int, xi: float, x: np.ndarray, p: np.ndarray, output: int = 1
 ) -> np.ndarray:
-    """Closed-form Wigner functions of the reduction kernels.
+    """Closed-form Wigner functions of the reduction kernels,
+    amp * exp(-(x^2 + p^2) / (2 var)) * cos(twist * x * p).
 
-    The Gaussian kernels give isotropic Gaussians; the cross kernel gives an
-    isotropic Gaussian times cos(c * x * p), which may dip negative.
+    The Gaussian kernels (twist 0) are isotropic Gaussians; the cross
+    kernel's cosine may dip negative.
     """
-    which, s = _output1_kernel(which, output)
-    xi = _as_xi(xi)
-    a, b = _ab(xi)
-    x = s * np.asarray(x, dtype=float)
-    p = s * np.asarray(p, dtype=float)
-    if which == 1:
-        w = a * np.exp(-a * (x**2 + p**2) / 2)
-    elif which == 2:
-        c = math.cosh(2 * xi)
-        w = np.exp(-(x**2 + p**2) / (2 * c)) / c
-    else:
-        d = a + 3 * b
-        one_b2 = 1 + b * b
-        w = (
-            (4 / math.sqrt(2 * one_b2))
-            * np.exp(-d * (x**2 + p**2) / (4 * one_b2))
-            * np.cos(b * (a - b) * x * p / (2 * one_b2))
-        )
-    return s * s * w
+    amp, var, twist = _kernel_form(which, xi, output)
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return amp * np.exp(-(x**2 + p**2) / (2 * var)) * np.cos(twist * x * p)
 
 
 def _kernel_factors(
@@ -601,28 +583,21 @@ def _kernel_factors(
     """Separable factors (fx, fp, phase) of a kernel characteristic function,
     chi(kx, kp) = fx(kx) * fp(kp) * cos(phase(kx, kp)).
 
-    ``fx`` is evaluated on ``kx`` alone and ``fp`` on ``kp`` alone.  The
-    Gaussian kernels 1 and 2 have no cosine (``phase`` is None); only the
-    cross kernel's phase, lambda * kx * kp, is a product of both.
+    With det = 1/var^2 + twist^2, chi = (2 pi amp / sqrt(det)) *
+    exp(-(kx^2 + kp^2) / (2 var det)) * cos(twist kx kp / det).  It is
+    evaluated through q = var^2 det = 1 + (var twist)^2, which stays O(1)
+    where det overflows.  ``fx`` is evaluated on ``kx`` alone and ``fp`` on
+    ``kp`` alone; the Gaussian kernels (twist 0) have no cosine, so their
+    ``phase`` is None.
     """
-    which, s = _output1_kernel(which, output)
-    xi = _as_xi(xi)
-    a, b = _ab(xi)
-    kx = np.asarray(kx, dtype=float) / s
-    kp = np.asarray(kp, dtype=float) / s
-    two_pi = 2 * np.pi
-    if which in (1, 2):
-        var = b if which == 1 else math.cosh(2 * xi)
-        return two_pi * np.exp(-var * kx**2 / 2), np.exp(-var * kp**2 / 2), None
-    d = a + 3 * b
-    c = (a * a + b * b + 6) / (4 * d)
-    g = b * (a - b) * kp / d
-    scale = math.sqrt(two_pi) * (4 / math.sqrt(d)) * math.sqrt(np.pi / c)
-    return (
-        scale * np.exp(-kx**2 / (4 * c)),
-        np.exp(-(1 + b * b) * kp**2 / d + g * g / (4 * c)),
-        g * kx / (2 * c),
-    )
+    amp, var, twist = _kernel_form(which, xi, output)
+    q = 1 + (var * twist) ** 2
+    g = var / q  # 1 / (var det)
+    kx = np.asarray(kx, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    fx = (2 * np.pi * amp * var / math.sqrt(q)) * np.exp(-g * kx**2 / 2)
+    fp = np.exp(-g * kp**2 / 2)
+    return fx, fp, None if twist == 0 else (twist * var * g) * kx * kp
 
 
 def kernel_characteristic(
@@ -643,15 +618,8 @@ def kernel_characteristic(
 
 def _kernel_sigma(which: int, xi: float, output: int) -> float:
     """Per-quadrature standard deviation of a kernel Wigner function
-    (Gaussian part for the cross kernel)."""
-    which, s = _output1_kernel(which, output)
-    a, b = _ab(xi)
-    sigma = {
-        1: math.sqrt(b),
-        2: math.sqrt(math.cosh(2 * xi)),
-        3: math.sqrt(2 * (1 + b * b) / (a + 3 * b)),
-    }[which]
-    return sigma / s
+    (Gaussian part for the cross kernel): sqrt(var)."""
+    return math.sqrt(_kernel_form(which, xi, output)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +741,7 @@ def output_overlaps(
     padded 1-D FFT per axis.  Every H is even
     in kx, so the x factors' rows of kx and -kx are added before any kernel
     is applied.  A Gaussian kernel's H is fx(kx) fp(kp), and its sums are
-    products of 1-D sums; the cross kernel's cos(lambda kx kp) costs one
+    products of 1-D sums; the cross kernel's cosine of kx kp costs one
     (rows x cols) cosine matrix per output.  :class:`GridResolutionError`
     is raised per output, as by :func:`output_wigner`; factors whose shapes
     are not (n_x,) and (n_p,) raise :class:`ValueError`.
@@ -839,33 +807,22 @@ def cv_fidelity_asymptotic(xi: float, alpha: float, beta: float, output: int = 1
     """Closed-form output fidelity for a vacuum (or any coherent) input,
     exact at every squeezing.
 
-    Smearing a vacuum by a Gaussian kernel of per-quadrature variance sigma^2
-    leaves overlap 1 / (1 + sigma^2).  The cross kernel's characteristic
-    function is a Gaussian times cos(lambda kx kp) in the output-1 variables
-    kappa / s (d, c and mu as in :func:`kernel_characteristic`), so its
-    vacuum overlap is the elementary integral
+    The vacuum's autocorrelation is exp(-(x^2 + p^2) / 2), so a kernel of
+    form (amp, var, twist) leaves the vacuum overlap
 
-        O3 = s^2 (4 / sqrt(d)) sqrt(pi / c) / (2 sqrt(2 pi) sqrt(A B + lambda^2 / 4))
+        O = (1/2pi) iint W_kernel exp(-(x^2 + p^2) / 2) dx dp
+          = amp / sqrt((1 + 1/var)^2 + twist^2),
 
-    where A and B are the Gaussian's coefficients once the vacuum's
-    exp(-s^2 k^2 / 2) is folded in.  O3 tends to the cross-kernel weight
-    4 sqrt(2) e^{-2 xi} as xi grows.
+    1 / (1 + sigma^2) for the Gaussian kernels.  The root is taken by
+    :func:`math.hypot`, as its square overflows once xi passes 177.  The
+    cross kernel's O tends to its weight 4 sqrt(2) e^{-2 xi} as xi grows.
     """
     xi = _as_xi(xi)
-    overlap = {which: 1.0 / (1.0 + _kernel_sigma(which, xi, output) ** 2) for which in (1, 2)}
-    _, s = _output1_kernel(3, output)
-    a, b = _ab(xi)
-    d = a + 3 * b
-    c = (a * a + b * b + 6) / (4 * d)
-    mu = b * (a - b) / d
-    big_a = s * s / 2 + 1 / (4 * c)
-    big_b = s * s / 2 + (1 + b * b) / d - mu * mu / (4 * c)
-    lam = mu / (2 * c)
-    overlap[3] = (
-        s * s * (4 / math.sqrt(d)) * math.sqrt(math.pi / c)
-        / (2 * math.sqrt(2 * math.pi) * math.sqrt(big_a * big_b + lam * lam / 4))
-    )
-    return alpha**2 * overlap[1] + beta**2 * overlap[2] + alpha * beta * overlap[3]
+    overlap = [
+        amp / math.hypot(1 + 1 / var, twist)
+        for amp, var, twist in (_kernel_form(k, xi, output) for k in (1, 2, 3))
+    ]
+    return alpha**2 * overlap[0] + beta**2 * overlap[1] + alpha * beta * overlap[2]
 
 
 # ---------------------------------------------------------------------------

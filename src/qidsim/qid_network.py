@@ -51,8 +51,7 @@ from .qudit_core import (
     Operator,
     PureState,
     entangled_state,
-    negativity,
-    partial_trace,
+    partial_trace,  # noqa: F401 - bound here for qidbench, whose tracer tests rebind it
     shift_p,
     shift_x,
     validate_dim,
@@ -75,7 +74,6 @@ __all__ = [
     "scaling_factor",
     "clone_fidelity",
     "covariance_check",
-    "output_negativity",
     "classical_distributor_fidelity",
 ]
 
@@ -397,16 +395,6 @@ def covariance_check(
     ):
         dev = max(dev, float(np.abs(rho_moved.matrix - s @ rho_base.matrix @ s.conj().T).max()))
     return dev
-
-
-def output_negativity(joint: PureState, pair: tuple[int, int] = (0, 1)) -> float:
-    """Negativity between two output registers of a joint distributor state.
-
-    Exposed for exploring finite-N entanglement of the clones; no
-    monotonicity in N is claimed.
-    """
-    rho = partial_trace(joint, pair)
-    return negativity(rho, sys=1)
 
 
 def classical_distributor_fidelity(m_in: int, m_out: int, overlap: float) -> float:

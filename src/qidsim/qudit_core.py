@@ -29,8 +29,6 @@ __all__ = [
     "entangled_state",
     "partial_trace",
     "fidelity",
-    "transpose_op",
-    "negativity",
     "haar_random_state",
 ]
 
@@ -304,28 +302,3 @@ def fidelity(rho: DensityOperator, psi: PureState) -> float:
     if abs(val.imag) > ATOL_EXACT:
         raise ValueError(f"fidelity has imaginary part {val.imag:.3e}")
     return float(np.clip(val.real, 0.0, 1.0))
-
-
-def transpose_op(rho: DensityOperator) -> DensityOperator:
-    """Matrix transpose in the x-basis (equals complex conjugation)."""
-    return DensityOperator(rho.dims, rho.matrix.T.copy())
-
-
-def negativity(rho: DensityOperator, sys: int = 1) -> float:
-    """Entanglement negativity of a two-register density operator.
-
-    Sum of |negative eigenvalues| of the partial transpose on register
-    ``sys``; zero for separable states.
-    """
-    if len(rho.dims) != 2:
-        raise ValueError("negativity requires a two-register density operator")
-    if sys not in (0, 1):
-        raise ValueError("sys must be 0 or 1")
-    da, db = rho.dims
-    tensor = rho.matrix.reshape(da, db, da, db)
-    if sys == 0:
-        tensor = tensor.transpose(2, 1, 0, 3)
-    else:
-        tensor = tensor.transpose(0, 3, 2, 1)
-    eigs = np.linalg.eigvalsh(tensor.reshape(da * db, da * db))
-    return float(-eigs[eigs < 0].sum())

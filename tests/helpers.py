@@ -1,6 +1,6 @@
-"""Test-only helpers: operators and index maps the library itself does not
-need, and numerical oracles for the third output's kernels and the
-closed-form kernel Wigner functions."""
+"""Test-only helpers: operators, index maps and entanglement and moment
+measures the library itself does not need, and numerical oracles for the
+third output's kernels and the closed-form kernel Wigner functions."""
 
 import math
 
@@ -8,7 +8,14 @@ import numpy as np
 
 from qidsim.cv_gaussian import WignerGrid, kernel_eval
 from qidsim.qid_network import PermutationGate
-from qidsim.qudit_core import Operator, fourier_operator, validate_dim
+from qidsim.qudit_core import (
+    DensityOperator,
+    Operator,
+    PureState,
+    fourier_operator,
+    partial_trace,
+    validate_dim,
+)
 
 
 def x_operator(dim: int) -> Operator:
@@ -21,6 +28,51 @@ def p_operator(dim: int) -> Operator:
     """Momentum label operator F X F^dag."""
     f = fourier_operator(dim).matrix
     return Operator((dim,), f @ x_operator(dim).matrix @ f.conj().T)
+
+
+def transpose_op(rho: DensityOperator) -> DensityOperator:
+    """Matrix transpose in the x-basis (equals complex conjugation)."""
+    return DensityOperator(rho.dims, rho.matrix.T.copy())
+
+
+def negativity(rho: DensityOperator, sys: int = 1) -> float:
+    """Entanglement negativity of a two-register density operator.
+
+    Sum of |negative eigenvalues| of the partial transpose on register
+    ``sys``; zero for separable states.
+    """
+    if len(rho.dims) != 2:
+        raise ValueError("negativity requires a two-register density operator")
+    if sys not in (0, 1):
+        raise ValueError("sys must be 0 or 1")
+    da, db = rho.dims
+    tensor = rho.matrix.reshape(da, db, da, db)
+    if sys == 0:
+        tensor = tensor.transpose(2, 1, 0, 3)
+    else:
+        tensor = tensor.transpose(0, 3, 2, 1)
+    eigs = np.linalg.eigvalsh(tensor.reshape(da * db, da * db))
+    return float(-eigs[eigs < 0].sum())
+
+
+def output_negativity(joint: PureState, pair: tuple[int, int] = (0, 1)) -> float:
+    """Negativity between two output registers of a joint distributor state."""
+    return negativity(partial_trace(joint, pair), sys=1)
+
+
+def grid_moments(grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of a Wigner grid treated as a distribution."""
+    xg, pg = grid.meshgrid()
+    w = grid.values / grid.values.sum()
+    mean = np.array([(xg * w).sum(), (pg * w).sum()])
+    dxg, dpg = xg - mean[0], pg - mean[1]
+    cov = np.array(
+        [
+            [(dxg * dxg * w).sum(), (dxg * dpg * w).sum()],
+            [(dxg * dpg * w).sum(), (dpg * dpg * w).sum()],
+        ]
+    )
+    return mean, cov
 
 
 def map_triple(gate: PermutationGate, n: int, m: int, k: int) -> tuple[int, int, int]:

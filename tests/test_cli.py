@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qidsim import cv_gaussian
 from qidsim.cli import _exceeds, main
@@ -254,15 +258,30 @@ class TestCv:
         (row,) = parse_csv(out)
         assert all(abs(float(row[f"k{k}_residual"])) > 1e-6 for k in (1, 2, 3))
 
-    def test_kernel_norm_gate_catches_a_nan_kernel(self, capsys):
-        # at xi = 177.6, e^{4 xi} overflows in the cross kernel's exponent,
-        # which is NaN at its peak eta = 0; the rule always samples that node
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            code, out, err = run_cli(capsys, "cv", "--xi", "177.6")
+    def test_kernel_norm_gate_catches_a_nan_kernel(self, monkeypatch, capsys):
+        # a cross kernel that is NaN at its peak eta = 0; the rule always
+        # samples that node
+        exact = cv_gaussian.kernel_eval
+
+        def nan_at_peak(which, xi, xbar, eta, output=1):
+            k = exact(which, xi, xbar, eta, output=output)
+            return np.where(np.asarray(eta) == 0, np.nan, k) if which == 3 else k
+
+        monkeypatch.setattr(cv_gaussian, "kernel_eval", nan_at_peak)
+        code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", "128")
         assert code == 1
-        assert err == "error: kernel normalisation residual nan at xi=177.6\n"
+        assert err == "error: kernel normalisation residual nan at xi=0.5\n"
         (row,) = parse_csv(out)
         assert row["k3_norm"] == "nan"
+
+    def test_far_squeezing_row_passes(self, capsys):
+        # e^{4 xi} overflows at xi = 177.6, but no kernel form squares e^{2 xi}
+        code, out, err = run_cli(capsys, "cv", "--xi", "177.6")
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert row["method"] == "asymptotic"
+        assert all(abs(float(row[f"k{k}_residual"])) < 1e-15 for k in (1, 2, 3))
+        assert abs(float(row["F1"]) - 0.5) < 1e-15 and abs(float(row["F2"]) - 0.5) < 1e-15
 
     def test_cold_start_skips_scipy_integrate(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -318,6 +337,43 @@ class TestOutputHandling:
         code, _, err = run_cli(capsys, "clone", "--dim", "1")
         assert code == 1
         assert "dimension" in err
+
+
+def _cli_configs():
+    seeds = st.integers(0, 2**32 - 1).map(str)
+    alphas = st.floats(0.0, 1.0).map(repr)
+    clone = st.builds(
+        lambda dim, seed: ("clone", "--dim", str(dim), "--seed", seed),
+        st.integers(2, 16), seeds,
+    )
+    distribute = st.builds(
+        lambda dim, alpha, seed: (
+            "distribute", "--dim", str(dim), "--alpha", alpha, "--input", f"random:{seed}"
+        ),
+        st.integers(2, 16), alphas, seeds,
+    )
+    cv = st.builds(
+        lambda xis, alpha, grid, fmt: (
+            "cv", "--xi", ",".join(map(repr, xis)), "--alpha", alpha,
+            "--grid", str(grid), "--format", fmt,
+        ),
+        st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2), alphas,
+        st.integers(2, 128), st.sampled_from(("csv", "json")),
+    )
+    return st.one_of(clone, distribute, cv)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_cli_configs())
+def test_identical_config_gives_identical_stdout(argv):
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
 
 
 class TestBadInput:

@@ -44,7 +44,7 @@ from qidsim.cv_gaussian import (
     x0_wavefunction,
 )
 
-from helpers import kernel_wigner_by_cosine_transform
+from helpers import grid_moments, kernel_wigner_by_cosine_transform
 
 VACUUM = GaussianState.vacuum()
 
@@ -249,6 +249,12 @@ class TestNormalisationConstraint:
     def test_cross_weight_value(self):
         assert abs(k3_total_weight(0.0) - 2.0) < 1e-15
 
+    @pytest.mark.parametrize("xi", (20.0, 177.65, 300.0))
+    def test_cross_weight_at_large_squeezing(self, xi):
+        # 2 sinh^2 2xi overflows past xi = 177.6; the weight must not drop to 0
+        tail = 4 * math.sqrt(2) * math.exp(-2 * xi)
+        assert abs(k3_total_weight(xi) / tail - 1) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -307,6 +313,22 @@ class TestKernels:
             + alpha * beta * kernel_norm_expected(3, xi)
         )
         assert abs(total - 1) < 1e-12
+
+    def test_cross_kernel_finite_at_large_squeezing(self):
+        # e^{4 xi} overflows here; the kernel's peak is 4 e^{-xi} / sqrt(1 + 3 e^{-4 xi})
+        xi = 177.6
+        peak = 4 * math.exp(-xi) / math.sqrt(1 + 3 * math.exp(-4 * xi))
+        assert abs(kernel_eval(3, xi, 0.0, 0.0) / peak - 1) < 1e-14
+
+    @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0, 3.0, 12.0, 150.0))
+    @pytest.mark.parametrize("output", (1, 2))
+    def test_characteristic_at_origin_is_the_kernel_weight(self, xi, output):
+        # chi(0, 0) / 2pi is the kernel's total weight: a slip in any entry
+        # of the (amp, var, twist) table shows here far above rounding
+        for which in (1, 2, 3):
+            got = float(kernel_characteristic(which, xi, 0.0, 0.0, output=output)) / (2 * np.pi)
+            expected = kernel_norm_expected(which, xi)
+            assert abs(got / expected - 1) < 1e-14
 
     def test_selector_validation(self):
         with pytest.raises(ValueError):
@@ -468,7 +490,7 @@ class TestOutputWigner:
         xi = 1.0
         grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
         out = output_wigner(grid, xi, 0.0, 1.0)
-        mean, cov = out.moments()
+        mean, cov = grid_moments(out)
         assert np.abs(mean).max() < 1e-9
         assert abs(cov[0, 0] - (0.5 + math.cosh(2 * xi))) < 1e-6
         assert abs(cov[1, 1] - (0.5 + math.cosh(2 * xi))) < 1e-6
@@ -724,7 +746,7 @@ class TestWignerGrid:
     def test_moments_of_displaced_gaussian(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
         grid = state.wigner_grid(WignerGrid.centered(9.0, 301))
-        mean, cov = grid.moments()
+        mean, cov = grid_moments(grid)
         assert np.abs(mean - state.mean).max() < 1e-8
         assert np.abs(cov - state.cov).max() < 1e-6
 

@@ -17,7 +17,6 @@ from qidsim.qid_network import (
     conditional_sub,
     covariance_check,
     distribute,
-    output_negativity,
     predicted_outputs,
     program_state,
     qid_by_gate_sequence,
@@ -36,7 +35,7 @@ from qidsim.qudit_core import (
     shift_x,
 )
 
-from helpers import map_triple, third_output_kernels_by_loop
+from helpers import map_triple, output_negativity, third_output_kernels_by_loop
 
 
 def swap_target_state(psi: PureState) -> PureState:

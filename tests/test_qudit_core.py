@@ -14,14 +14,12 @@ from qidsim.qudit_core import (
     fidelity,
     fourier_operator,
     haar_random_state,
-    negativity,
     partial_trace,
     shift_p,
     shift_x,
-    transpose_op,
 )
 
-from helpers import p_operator, x_operator
+from helpers import negativity, p_operator, transpose_op, x_operator
 
 
 def brute_force_reduction(state: PureState, keep) -> np.ndarray:
