@@ -30,6 +30,10 @@ OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
 # trapezoid nodes of the kernel-norm check on each side of eta = 0: a spacing
 # of sigma / 33 over +-12 sigma
 KERNEL_NORM_HALF_NODES = 400
+# largest squeezing the kernel-norm rule can sample: its outermost node is
+# 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
+# squares it; 144 cosh 2 xi overflows past xi = ln(float max / 72) / 2 = 352.753
+XI_MAX = 352.75
 
 
 def _fmt(value) -> str:
@@ -186,10 +190,12 @@ def cmd_distribute(args) -> int:
     beta = net.solve_beta(dim, args.alpha)
     program = net.program_state(dim, args.alpha, beta)
     sim = net.distribute(psi, program)
-    closed = net.predicted_outputs(dim, args.alpha, beta, psi)
+    # the closed form as plain matrices: the simulated outputs are validated
+    # already, so the reference needs no DensityOperator checks of its own
+    closed = net._closed_form_matrices(dim, args.alpha, beta, psi)
     deviation = _worst(
-        float(np.abs(a.matrix - b.matrix).max())
-        for a, b in ((sim.rho1, closed.rho1), (sim.rho2, closed.rho2), (sim.rho3, closed.rho3))
+        float(np.abs(rho.matrix - mat).max())
+        for rho, mat in zip((sim.rho1, sim.rho2, sim.rho3), closed)
     )
     psi_conj = PureState((dim,), psi.amplitudes.conj())
     doc = {
@@ -274,6 +280,12 @@ def cmd_cv(args) -> int:
         xis = [float(tok) for tok in args.xi.split(",")]
     except ValueError:
         raise _bad_option("--xi", args.xi, "comma-separated numbers") from None
+    for xi in xis:
+        if math.isfinite(xi) and xi > XI_MAX:
+            raise ValueError(
+                f"squeezing xi={xi} overflows the kernel-norm rule, which samples "
+                f"xi <= {XI_MAX}"
+            )
     rows = []
     failed = None
     for xi in sorted(xis):

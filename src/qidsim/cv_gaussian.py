@@ -27,10 +27,13 @@ parts; only the cross kernel's cos(twist kx kp / det) does not.
 :func:`output_overlaps` therefore is given only the factors and the
 lattice's geometry (a :class:`Lattice`).  It takes one padded 1-D FFT per
 factor, shared by both outputs, and reads each output as a Parseval inner
-product: a product of 1-D sums per Gaussian kernel and one cosine-matrix
-product for the cross kernel.  A 2-D grid is built only to be convolved
-and written out.  A squeezing strength ``xi`` is a plain float; every
-entry point rejects one that is negative or not finite.
+product: a product of 1-D sums per Gaussian kernel, and for the cross
+kernel a double sum with the phase c kx kp on two uniform frequency grids,
+which is a chirp-z transform done as one 1-D FFT convolution
+(:func:`_cosine_sum`).  No (kx x kp) array is built for a grid row; a 2-D
+grid is built only to be convolved and written out.  A squeezing strength
+``xi`` is a plain float; every entry point rejects one that is negative or
+not finite.
 
 Every reduction kernel of either output has the Wigner function
 
@@ -54,7 +57,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, irfft2, next_fast_len, rfft, rfft2
+from scipy.fft import fft, ifft, irfft2, next_fast_len, rfft, rfft2
 
 __all__ = [
     "XI_GRID_MAX",
@@ -579,25 +582,24 @@ def kernel_wigner_value(
 
 def _kernel_factors(
     which: int, xi: float, kx: np.ndarray, kp: np.ndarray, output: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Separable factors (fx, fp, phase) of a kernel characteristic function,
-    chi(kx, kp) = fx(kx) * fp(kp) * cos(phase(kx, kp)).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Separable factors (fx, fp, c) of a kernel characteristic function,
+    chi(kx, kp) = fx(kx) * fp(kp) * cos(c * kx * kp).
 
     With det = 1/var^2 + twist^2, chi = (2 pi amp / sqrt(det)) *
     exp(-(kx^2 + kp^2) / (2 var det)) * cos(twist kx kp / det).  It is
     evaluated through q = var^2 det = 1 + (var twist)^2, which stays O(1)
     where det overflows.  ``fx`` is evaluated on ``kx`` alone and ``fp`` on
-    ``kp`` alone; the Gaussian kernels (twist 0) have no cosine, so their
-    ``phase`` is None.
+    ``kp`` alone; the cosine's coefficient c = twist / det is a scalar, so
+    no caller needs a (kx x kp) array to hold it.  The Gaussian kernels
+    (twist 0) have c = 0.
     """
     amp, var, twist = _kernel_form(which, xi, output)
     q = 1 + (var * twist) ** 2
     g = var / q  # 1 / (var det)
-    kx = np.asarray(kx, dtype=float)
-    kp = np.asarray(kp, dtype=float)
     fx = (2 * np.pi * amp * var / math.sqrt(q)) * np.exp(-g * kx**2 / 2)
     fp = np.exp(-g * kp**2 / 2)
-    return fx, fp, None if twist == 0 else (twist * var * g) * kx * kp
+    return fx, fp, twist * var * g
 
 
 def kernel_characteristic(
@@ -611,9 +613,39 @@ def kernel_characteristic(
     of ``kp`` costs one 2-D product (and one 2-D cosine for the cross
     kernel).
     """
-    fx, fp, phase = _kernel_factors(which, xi, kx, kp, output)
+    kx = np.asarray(kx, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    fx, fp, c = _kernel_factors(which, xi, kx, kp, output)
     chi = fx * fp
-    return chi if phase is None else chi * np.cos(phase)
+    return chi if c == 0 else chi * np.cos(c * kx * kp)
+
+
+def _cosine_sum(left: np.ndarray, right: np.ndarray, theta: float) -> np.ndarray:
+    """sum_ij left[r, i] cos(theta i j) right[r, j] for each row r of two
+    real (k, rows) and (k, cols) arrays, without a (rows x cols) array.
+
+    Bluestein's identity i j = (i^2 + j^2 - (j - i)^2) / 2 splits the phase
+    into chirps e(n) = exp(i theta n^2 / 2) of i, of j and of the lag
+    m = j - i: the sum is Re sum_m conj(e(m)) corr[m], where
+    corr[m] = sum_i a_i b_(i+m) correlates the chirped rows a_i = left_i e(i)
+    and b_j = right_j e(j) (a chirp-z transform, Rabiner, Schafer & Rader,
+    Bell Syst. Tech. J. 48, 1249 (1969)).  The correlation is one FFT
+    convolution of the reversed a with b, zero padded to at least
+    rows + cols - 1 points so that no lag wraps around.
+    """
+    rows, cols = left.shape[-1], right.shape[-1]
+    size = rows + cols - 1
+    n = next_fast_len(size)
+    a = left * _chirp(theta, np.arange(rows))
+    b = right * _chirp(theta, np.arange(cols))
+    # entry rows - 1 + m of the convolution is corr[m], m = 1 - rows .. cols - 1
+    corr = ifft(fft(a[..., ::-1], n) * fft(b, n))[..., :size]
+    return (corr * _chirp(-theta, np.arange(1 - rows, cols))).real.sum(axis=-1)
+
+
+def _chirp(theta: float, n: np.ndarray) -> np.ndarray:
+    """exp(i theta n^2 / 2) on integers ``n``."""
+    return np.exp(1j * (theta / 2) * (n * n))
 
 
 def _kernel_sigma(which: int, xi: float, output: int) -> float:
@@ -657,7 +689,16 @@ def _widest_kernel(
 
 
 def _padded_shape(grid: Lattice, sigma: float) -> tuple[int, int]:
-    """FFT shape of the input zero padded for a kernel of spread ``sigma``."""
+    """FFT shape of the input zero padded for a kernel of spread ``sigma``.
+
+    The 12 sigma of padding bound the wrap-around of a kernel wider than the
+    grid step only.  A kernel narrower than the step has a characteristic
+    function that is still O(1) at the Nyquist frequency, where the
+    spectrum is cut; the ringing this leaves reaches past 12 sigma and wraps
+    around, so the result then depends on the padded shape.  For the smooth
+    inputs ``qidsim cv`` samples that moves F by at most 3.3e-16, but a rough
+    input feels it (6e-6 on a random 37 x 30 grid at xi = 0.5).
+    """
     # 12 sigma of zero padding after the data: a wrapped-around contribution
     # comes from at least 12 sigma away, where every kernel has vanished
     mx = int(np.ceil(6 * sigma / grid.dx)) + 1
@@ -741,10 +782,14 @@ def output_overlaps(
     padded 1-D FFT per axis.  Every H is even
     in kx, so the x factors' rows of kx and -kx are added before any kernel
     is applied.  A Gaussian kernel's H is fx(kx) fp(kp), and its sums are
-    products of 1-D sums; the cross kernel's cosine of kx kp costs one
-    (rows x cols) cosine matrix per output.  :class:`GridResolutionError`
-    is raised per output, as by :func:`output_wigner`; factors whose shapes
-    are not (n_x,) and (n_p,) raise :class:`ValueError`.
+    products of 1-D sums.  The cross kernel's H is fx(kx) fp(kp) cos(c kx kp)
+    on the uniform grids kx = i dkx and kp = j dkp, so its sums are
+    sum_ij left_i cos(theta i j) right_j with theta = c dkx dkp, a chirp-z
+    transform taken by one padded 1-D FFT convolution per output
+    (:func:`_cosine_sum`); no (rows x cols) array is built.
+    :class:`GridResolutionError` is raised per output, as by
+    :func:`output_wigner`; factors whose shapes are not (n_x,) and (n_p,)
+    raise :class:`ValueError`.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if u.shape != (lattice.n_x,) or v.shape != (lattice.n_p,):
@@ -784,12 +829,12 @@ def output_overlaps(
     for output in (1, 2):
         total = np.zeros(2)
         for k, w in weights.items():
-            fx, fp, phase = _kernel_factors(k, xi, kx[:, None], kp[None, :], output)
-            left, right = x_parts * fx[:, 0], p_parts * fp[0]
-            if phase is None:
+            fx, fp, c = _kernel_factors(k, xi, kx, kp, output)
+            left, right = x_parts * fx, p_parts * fp
+            if c == 0:
                 total += w * left.sum(axis=1) * right.sum(axis=1)
             else:
-                total += w * ((left @ np.cos(phase)) * right).sum(axis=1)
+                total += w * _cosine_sum(left, right, c * kx[1] * kp[1])
         overlaps.append((float(scale * total[0]), float(scale * total[1])))
     return overlaps[0], overlaps[1]
 

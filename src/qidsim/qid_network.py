@@ -334,13 +334,11 @@ def distribute(psi: PureState, program: ProgramState | PureState) -> Distributor
     )
 
 
-def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> DistributorOutput:
-    """Closed-form reduced outputs for the two-parameter program family.
-
-    rho1 = (a^2 + 2ab/N) rho_in + (b^2/N) 1
-    rho2 = (b^2 + 2ab/N) rho_in + (a^2/N) 1
-    rho3 = (2ab/N) rho_in^T + ((N - 2ab)/N^2) 1
-    """
+def _closed_form_matrices(
+    dim: int, alpha: float, beta: float, psi: PureState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three matrices of :func:`predicted_outputs`, without the
+    :class:`DensityOperator` checks."""
     d = validate_dim(dim)
     if psi.dims != (d,):
         raise ValueError("psi must be a single register of the given dimension")
@@ -353,10 +351,18 @@ def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> Di
     rho1 = (alpha**2 + 2 * ab / d) * rho_in + (beta**2 / d) * eye
     rho2 = (beta**2 + 2 * ab / d) * rho_in + (alpha**2 / d) * eye
     rho3 = (2 * ab / d) * rho_in.T + ((d - 2 * ab) / d**2) * eye
+    return rho1, rho2, rho3
+
+
+def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> DistributorOutput:
+    """Closed-form reduced outputs for the two-parameter program family.
+
+    rho1 = (a^2 + 2ab/N) rho_in + (b^2/N) 1
+    rho2 = (b^2 + 2ab/N) rho_in + (a^2/N) 1
+    rho3 = (2ab/N) rho_in^T + ((N - 2ab)/N^2) 1
+    """
     return DistributorOutput(
-        DensityOperator((d,), rho1),
-        DensityOperator((d,), rho2),
-        DensityOperator((d,), rho3),
+        *(DensityOperator((dim,), rho) for rho in _closed_form_matrices(dim, alpha, beta, psi))
     )
 
 

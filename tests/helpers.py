@@ -1,6 +1,7 @@
 """Test-only helpers: operators, index maps and entanglement and moment
 measures the library itself does not need, and numerical oracles for the
-third output's kernels and the closed-form kernel Wigner functions."""
+third output's kernels, the closed-form kernel Wigner functions and the
+cross kernel's cosine sum."""
 
 import math
 
@@ -114,3 +115,10 @@ def kernel_wigner_by_cosine_transform(
     kmat = kernel_eval(which, xi, z[None, :], grid.x[:, None], output=output)
     cosmat = np.cos(np.outer(z, grid.p))
     return grid.like((kmat * weights[None, :]) @ cosmat / math.sqrt(2 * np.pi))
+
+
+def cosine_sum_by_matrix(left: np.ndarray, right: np.ndarray, theta: float) -> np.ndarray:
+    """sum_ij left[r, i] cos(theta i j) right[r, j] for each row r, through
+    the dense (rows x cols) cosine matrix."""
+    i, j = np.arange(left.shape[-1]), np.arange(right.shape[-1])
+    return ((left @ np.cos(theta * np.outer(i, j))) * right).sum(axis=-1)

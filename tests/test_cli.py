@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qidsim import cv_gaussian
-from qidsim.cli import _exceeds, main
+from qidsim import cv_gaussian, qid_network
+from qidsim.cli import XI_MAX, _exceeds, main
+from qidsim.qudit_core import DensityOperator
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,36 @@ class TestDistribute:
         code, out, _ = run_cli(capsys, "distribute", "--dim", dim, "--alpha", "0.4")
         assert code == 0
         assert json.loads(out)["max_deviation"] <= 1e-10
+
+
+    def test_gate_builds_no_reference_density_operators(self, monkeypatch, capsys):
+        # the three simulated outputs are the only validated operators
+        built = []
+        validate = DensityOperator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(DensityOperator, "__init__", counted)
+        code, _, _ = run_cli(capsys, "distribute", "--dim", "8", "--alpha", "0.4")
+        assert code == 0
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("output", (0, 1, 2))
+    def test_gate_catches_a_deviating_output(self, monkeypatch, capsys, output):
+        exact = qid_network._closed_form_matrices
+
+        def shifted(*args):
+            closed = list(exact(*args))
+            closed[output] = closed[output] + 1e-9
+            return tuple(closed)
+
+        monkeypatch.setattr(qid_network, "_closed_form_matrices", shifted)
+        code, out, err = run_cli(capsys, "distribute", "--dim", "8", "--alpha", "0.4")
+        assert code == 1
+        assert json.loads(out)["max_deviation"] > 1e-10
+        assert err.startswith("error: simulation deviates from the closed form by 1.0")
 
 
 class TestCovariance:
@@ -282,6 +313,25 @@ class TestCv:
         assert row["method"] == "asymptotic"
         assert all(abs(float(row[f"k{k}_residual"])) < 1e-15 for k in (1, 2, 3))
         assert abs(float(row["F1"]) - 0.5) < 1e-15 and abs(float(row["F2"]) - 0.5) < 1e-15
+
+    def test_largest_sampled_squeezing_passes(self, capsys):
+        # the kernel-norm rule's outermost node, squared, is still finite
+        code, out, err = run_cli(capsys, "cv", "--xi", str(XI_MAX))
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert all(abs(float(row[f"k{k}_residual"])) < 1e-15 for k in (1, 2, 3))
+        assert abs(float(row["F1"]) - 0.5) < 1e-15 and abs(float(row["F2"]) - 0.5) < 1e-15
+
+    @pytest.mark.parametrize("xi", ("352.76", "353", "354.8"))
+    def test_squeezing_past_the_kernel_norm_rule(self, capsys, xi):
+        # 353 overflowed the rule's square, 354.8 printed F2 = nan: both end
+        # in one error line naming xi, before any row is computed
+        code, out, err = run_cli(capsys, "cv", "--xi", f"0.5,{xi}")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: squeezing xi={float(xi)} overflows the kernel-norm rule, "
+            f"which samples xi <= {XI_MAX}\n"
+        )
 
     def test_cold_start_skips_scipy_integrate(self):
         src = Path(__file__).resolve().parents[1] / "src"

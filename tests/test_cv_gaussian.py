@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from qidsim.cv_gaussian import (
     x0_wavefunction,
 )
 
-from helpers import grid_moments, kernel_wigner_by_cosine_transform
+from helpers import cosine_sum_by_matrix, grid_moments, kernel_wigner_by_cosine_transform
 
 VACUUM = GaussianState.vacuum()
 
@@ -688,6 +689,57 @@ class TestOutputOverlaps:
         u, v = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValueError, match="factor shapes"):
             output_overlaps(lattice, u, v, 0.5, 0.6, solve_cv_beta(0.6, 0.5))
+
+
+    @pytest.mark.parametrize("xi", (0.5, 3.0))
+    def test_no_rows_by_cols_array(self, xi):
+        # the cross kernel's sum is a chirp-z convolution of 1-D rows: the
+        # call's peak allocation stays below one (rows x cols) float array
+        lattice = Lattice.centered(suggested_half_width(xi), 512)
+        u, v = VACUUM.wigner_factors(lattice)
+        alpha = math.sqrt(0.5)
+        beta = solve_cv_beta(alpha, xi)
+        weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
+        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
+        shape = cv_gaussian._padded_shape(lattice, sigma)
+        output_overlaps(lattice, u, v, xi, alpha, beta)  # warm the FFT plans
+        tracemalloc.start()
+        try:
+            output_overlaps(lattice, u, v, xi, alpha, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (shape[0] // 2 + 1) * (shape[1] // 2 + 1)
+
+
+class TestCosineSum:
+    """The cross kernel's sum_ij left[r, i] cos(theta i j) right[r, j] by a
+    chirp-z convolution, against the dense cosine matrix, relative to
+    sum_ij |left[r, i]| |right[r, j]|."""
+
+    @staticmethod
+    def check(rows, cols, theta, seed=0):
+        rng = np.random.default_rng(seed)
+        left, right = rng.standard_normal((2, rows)), rng.standard_normal((2, cols))
+        scale = np.abs(left).sum(axis=1) * np.abs(right).sum(axis=1)
+        got = cv_gaussian._cosine_sum(left, right, theta)
+        assert got.shape == (2,)
+        assert (np.abs(got - cosine_sum_by_matrix(left, right, theta)) / scale).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "rows, cols", ((37, 31), (32, 32), (31, 40), (64, 17), (1, 6), (5, 1), (1, 1))
+    )
+    @pytest.mark.parametrize("theta", (0.0, 3e-3, 0.37, 2.5))
+    def test_odd_and_even_lengths(self, rows, cols, theta):
+        self.check(rows, cols, theta)
+
+    @pytest.mark.parametrize("rows, cols", ((37, 31), (433, 433), (451, 300)))
+    def test_large_phase(self, rows, cols):
+        # the largest phase theta (rows - 1) (cols - 1) passes 10^3 rad; the
+        # chirps' phases theta n^2 / 2 reach about as far
+        theta = 1.7e3 / ((rows - 1) * (cols - 1))
+        self.check(rows, cols, theta, seed=2)
+        self.check(rows, cols, 7.3, seed=3)
 
 
 class TestWignerGrid:
