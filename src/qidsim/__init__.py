@@ -19,7 +19,6 @@ from .qudit_core import (
 )
 from .qid_network import (
     DistributorOutput,
-    ProgramState,
     classical_distributor_fidelity,
     clone_fidelity,
     cloner_program,

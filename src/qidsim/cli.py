@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -377,62 +378,71 @@ def cmd_coherent_clone(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qidsim", description="Quantum information distributor experiments."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose rejections leave by main's one ``error:`` line."""
 
-    def common(p, grid=False):
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--out", default=None, help=f"output path (joined to ${OUTPUT_DIR_ENV} if relative)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if grid:
-            p.add_argument("--grid", type=int, default=512, help="grid points per axis")
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it reads no environment."""
+    parser = _Parser(prog="qidsim", description="Quantum information distributor experiments.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    seed = {"type": int, "default": 0, "help": "64-bit RNG seed"}
+    out = {"default": None, "help": f"output path (joined to ${OUTPUT_DIR_ENV} if relative)"}
+    fmt = {"choices": ("csv", "json"), "default": "csv"}
 
     p = sub.add_parser("clone", help="scaling factor and fidelity of the universal cloner per N")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--dim-range", default=None, metavar="A:B")
-    common(p)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", **out)
+    p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_clone)
 
     p = sub.add_parser("distribute", help="full simulation vs closed-form reduced outputs")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--input", default="random:0", help="'random:<seed>' or amplitude list")
-    common(p)
-    p.set_defaults(func=cmd_distribute, format="json")
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", **out)
+    p.set_defaults(func=cmd_distribute)
 
     p = sub.add_parser("covariance", help="displacement covariance of the distributor")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
-    common(p)
-    p.set_defaults(func=cmd_covariance, format="json")
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", **out)
+    p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("cv", help="continuous-variable kernel norms and output fidelities")
     p.add_argument("--xi", default="0,0.5,1,2", help="comma-separated squeezing values")
     p.add_argument("--alpha", type=float, default=math.sqrt(0.5))
+    p.add_argument("--grid", type=int, default=512, help="grid points per axis")
     p.add_argument(
         "--dump-wigner",
         default=None,
         metavar="STEM",
         help="also write the first-output Wigner grid per grid-safe xi to STEM_xi<value>",
     )
-    common(p, grid=True)
+    p.add_argument("--out", **out)
+    p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("coherent-clone", help="Gaussian coherent-state cloner")
     p.add_argument("--displacement", default="0", help="input amplitude, e.g. '3+4j'")
-    common(p)
-    p.set_defaults(func=cmd_coherent_clone, format="json")
+    p.add_argument("--out", **out)
+    p.set_defaults(func=cmd_coherent_clone)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        args = build_parser().parse_args(argv)
+        if vars(args).get("seed", 0) < 0:
             raise _bad_option("--seed", str(args.seed), "a non-negative integer")
         return args.func(args)
     except (ValueError, cv.GridResolutionError) as exc:

@@ -59,7 +59,6 @@ from .qudit_core import (
 
 __all__ = [
     "PermutationGate",
-    "ProgramState",
     "DistributorOutput",
     "conditional_add",
     "conditional_sub",
@@ -186,16 +185,6 @@ def solve_beta(dim: int, alpha: float) -> float:
     return max(beta, 0.0)
 
 
-@dataclass(frozen=True)
-class ProgramState:
-    """Two-register program ket alpha*|Xi_00> + beta*|x_0>|p_0>."""
-
-    dim: int
-    alpha: float
-    beta: float
-    ket: PureState
-
-
 @dataclass
 class DistributorOutput:
     """The three single-register reductions, and the joint output state on
@@ -222,33 +211,34 @@ class DistributorOutput:
         return build_qid_unitary(psi.dim).apply(psi.tensor(ket))
 
 
-def program_state(dim: int, alpha: float, beta: float) -> ProgramState:
-    """Build the two-parameter program state.
-
-    (alpha, beta) must satisfy alpha^2 + beta^2 + 2*alpha*beta/N = 1; the
-    cross term comes from the 1/N overlap of the two branches.
-    """
-    d = validate_dim(dim)
-    residual = alpha * alpha + beta * beta + 2 * alpha * beta / d - 1.0
-    if abs(residual) > ATOL_CHAIN:
+def _check_normalisation(dim: int, alpha: float, beta: float) -> None:
+    """(alpha, beta) must satisfy alpha^2 + beta^2 + 2*alpha*beta/N = 1; the
+    cross term comes from the 1/N overlap of the two branches.  NaN fails."""
+    residual = alpha * alpha + beta * beta + 2 * alpha * beta / dim - 1.0
+    if not (abs(residual) <= ATOL_CHAIN):
         raise ValueError(f"(alpha, beta) violate the normalisation condition by {residual:.3e}")
+
+
+def program_state(dim: int, alpha: float, beta: float) -> PureState:
+    """The two-register program ket alpha*|Xi_00> + beta*|x_0>|p_0>."""
+    d = validate_dim(dim)
+    _check_normalisation(d, alpha, beta)
     amps = alpha * entangled_state(d, 0, 0).amplitudes
     # |p_0> is the Fourier operator's column 0, exactly 1/sqrt(N) everywhere
     x0p0 = np.kron(np.eye(d, dtype=complex)[0], np.full(d, 1 / np.sqrt(d), dtype=complex))
     amps = amps + beta * x0p0
     amps /= np.linalg.norm(amps)
-    return ProgramState(d, float(alpha), float(beta), PureState((d, d), amps))
+    return PureState((d, d), amps)
 
 
-def cloner_program(dim: int) -> ProgramState:
+def cloner_program(dim: int) -> PureState:
     """Symmetric (alpha = beta) program: the universal cloner setting."""
     d = validate_dim(dim)
     alpha = math.sqrt(d / (2.0 * (d + 1)))
     return program_state(d, alpha, alpha)
 
 
-def _program_ket(program: ProgramState | PureState) -> PureState:
-    ket = program.ket if isinstance(program, ProgramState) else program
+def _program_ket(ket: PureState) -> PureState:
     if ket.num_registers != 2 or ket.dims[0] != ket.dims[1]:
         raise ValueError("program must span two registers of equal dimension")
     return ket
@@ -284,7 +274,7 @@ def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
     return gram[v % 2, v_prime // 2 + half * rolled, v // 2]
 
 
-def distribute(psi: PureState, program: ProgramState | PureState) -> DistributorOutput:
+def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     """Run the distributor on input ``psi`` and a two-register program.
 
     Accepts arbitrary program kets, not only the two-parameter family, and
@@ -342,9 +332,7 @@ def _closed_form_matrices(
     d = validate_dim(dim)
     if psi.dims != (d,):
         raise ValueError("psi must be a single register of the given dimension")
-    residual = alpha * alpha + beta * beta + 2 * alpha * beta / d - 1.0
-    if abs(residual) > ATOL_CHAIN:
-        raise ValueError(f"(alpha, beta) violate the normalisation condition by {residual:.3e}")
+    _check_normalisation(d, alpha, beta)
     rho_in = np.outer(psi.amplitudes, psi.amplitudes.conj())
     eye = np.eye(d)
     ab = alpha * beta
@@ -378,9 +366,7 @@ def clone_fidelity(dim: int) -> float:
     return (d + 3) / (2.0 * (d + 1))
 
 
-def covariance_check(
-    psi: PureState, program: ProgramState | PureState, n: int, m: int
-) -> float:
+def covariance_check(psi: PureState, program: PureState, n: int, m: int) -> float:
     """Max deviation between shifting the input and shifting the outputs.
 
     Displacing the input by shift_x(n)*shift_p(m) must displace the reduced

@@ -188,7 +188,7 @@ class Operator:
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
         if check_unitary:
             err = np.abs(mat.conj().T @ mat - np.eye(d)).max()
-            if err > ATOL_EXACT:
+            if not (err <= ATOL_EXACT):
                 raise ValueError(f"operator is not unitary: |U^dag U - 1| = {err:.3e}")
         self.matrix = mat
 

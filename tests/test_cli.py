@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -521,8 +522,65 @@ class TestBadInput:
         assert err.startswith(f"error: {option} expects") and err.count("\n") == 1
         assert repr(value) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("distribute", "--dim", "3", "--alpha", "0.5", "--format", "csv"),
+            ("covariance", "--dim", "2", "--format", "json"),
+            ("coherent-clone", "--format", "json"),
+            ("cv", "--seed", "1"),
+            ("coherent-clone", "--seed", "1"),
+            ("distribute", "--dim", "x", "--alpha", "0.5"),
+            ("distribute", "--dim", "3"),
+            ("cv", "--format", "xml"),
+            ("teleport",),
+            (),
+        ),
+    )
+    def test_argparse_rejections_take_the_error_line(self, capsys, argv):
+        # options a command does not read, unparsable values, missing
+        # arguments and unknown commands leave like every other bad input
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gates_fail_on_nan(self):
         assert _exceeds(math.nan, 1e-9)
         assert _exceeds(math.inf, 1e-9)
         assert _exceeds(1e-8, 1e-9)
         assert not _exceeds(1e-10, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    (
+        ("clone", ["--dim", "--dim-range", "--seed", "--out", "--format"]),
+        ("distribute", ["--dim", "--alpha", "--input", "--seed", "--out"]),
+        ("covariance", ["--dim", "--trials", "--seed", "--out"]),
+        ("cv", ["--xi", "--alpha", "--grid", "--dump-wigner", "--out", "--format"]),
+        ("coherent-clone", ["--displacement", "--out"]),
+    ),
+)
+def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    listed = [ln.split()[0].rstrip(",") for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("  -")]
+    assert listed == ["-h"] + options
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every documented command runs as written; coherent-clone reports its
+    # unreachable 1/8 anticlone target by exiting 1
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("qidsim ")]
+    assert len(lines) == 6
+    monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == (1 if argv[0] == "coherent-clone" else 0), (line, err)
+        assert out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qidsim.qid_network import (
     PermutationGate,
+    _closed_form_matrices,
     _third_output_kernels,
     apply_two_register_gate,
     build_qid_unitary,
@@ -129,10 +130,10 @@ class TestProgramStates:
 
     def test_endpoint_kets(self):
         d = 3
-        assert program_state(d, 1.0, 0.0).ket.distance_up_to_phase(entangled_state(d, 0, 0)) < 1e-12
+        assert program_state(d, 1.0, 0.0).distance_up_to_phase(entangled_state(d, 0, 0)) < 1e-12
         p0 = PureState((d,), fourier_operator(d).matrix[:, 0])
         x0 = PureState.basis((d,), (0,))
-        assert program_state(d, 0.0, 1.0).ket.distance_up_to_phase(x0.tensor(p0)) < 1e-12
+        assert program_state(d, 0.0, 1.0).distance_up_to_phase(x0.tensor(p0)) < 1e-12
 
     @pytest.mark.parametrize("dim", (2, 3, 6))
     def test_cloner_program_form(self, dim):
@@ -142,7 +143,7 @@ class TestProgramStates:
             expected[0, m] += 1
             expected[m, m] += 1
         expected = expected.ravel() / math.sqrt(2 * (dim + 1))
-        ket = cloner_program(dim).ket
+        ket = cloner_program(dim)
         assert ket.distance_up_to_phase(PureState((dim, dim), expected)) < 1e-12
 
     @pytest.mark.parametrize("dim", (2, 3, 8, 64))
@@ -153,11 +154,16 @@ class TestProgramStates:
             np.eye(dim, dtype=complex)[0], fourier_operator(dim).matrix[:, 0]
         )
         amps /= np.linalg.norm(amps)
-        assert np.array_equal(program_state(dim, alpha, beta).ket.amplitudes, amps)
+        assert np.array_equal(program_state(dim, alpha, beta).amplitudes, amps)
 
     def test_constraint_enforced(self):
         with pytest.raises(ValueError):
             program_state(3, 0.9, 0.9)
+
+    def test_constraint_fails_on_nan(self):
+        # NaN compares false with any tolerance, so the gate must reject it
+        with pytest.raises(ValueError, match="normalisation condition by nan"):
+            program_state(3, math.nan, 0.5)
 
 
 class TestDistribution:
@@ -273,6 +279,12 @@ class TestClosedFormOutputs:
                 ):
                     worst = max(worst, float(np.abs(got.matrix - want.matrix).max()))
         assert worst < 1e-10
+
+    def test_constraint_fails_on_nan(self):
+        # NaN compares false with any tolerance, so the gate must reject it
+        psi = haar_random_state((3,), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="normalisation condition by nan"):
+            _closed_form_matrices(3, math.nan, 0.5, psi)
 
     def test_no_transfer_endpoint(self):
         dim = 3

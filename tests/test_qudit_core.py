@@ -323,6 +323,10 @@ class TestStateAndOperatorValidation:
         with pytest.raises(ValueError):
             Operator((2,), np.array([[1.0, 1.0], [0.0, 1.0]]), check_unitary=True)
 
+    def test_unitary_check_fails_on_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Operator((2,), np.array([[np.nan, 0.0], [0.0, 1.0]]), check_unitary=True)
+
     def test_random_states_normalised(self):
         psi = haar_random_state((5, 5), np.random.default_rng(9))
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
