@@ -28,6 +28,7 @@ from .qid_network import (
     program_state,
     scaling_factor,
     solve_beta,
+    two_branch_beta,
 )
 from .cv_gaussian import (
     GaussianState,
@@ -35,7 +36,6 @@ from .cv_gaussian import (
     WignerGrid,
     coherent_cloner,
     cv_fidelity,
-    cv_norm_constraint,
     gaussian_fidelity,
     kernel_eval,
     output_wigner,

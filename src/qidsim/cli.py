@@ -70,14 +70,24 @@ def _resolve_out(path: str | None):
     return p
 
 
+def _write_file(path: Path, write) -> None:
+    """Create ``path``'s directory and call ``write`` on the open file.  An
+    OSError becomes a ValueError that names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _write(text: str, args) -> None:
     """Send ``text`` to ``--out`` if given, else to stdout."""
     out = _resolve_out(args.out)
     if out is None:
         sys.stdout.write(text)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        _write_file(out, lambda fh: fh.write(text))
 
 
 def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
@@ -249,12 +259,7 @@ def _dump_wigner_grid(grid, xi: float, args) -> None:
     stem = _resolve_out(args.dump_wigner)
     suffix = ".csv" if args.format == "csv" else ".json"
     path = stem.parent / f"{stem.name}_xi{xi:g}{suffix}"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        if args.format == "csv":
-            grid.to_csv(fh)
-        else:
-            grid.to_json(fh)
+    _write_file(path, grid.to_csv if args.format == "csv" else grid.to_json)
 
 
 def _kernel_norm(which: int, xi: float) -> float:

@@ -59,6 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft, irfft2, next_fast_len, rfft, rfft2
 
+from .qid_network import two_branch_beta
+
 __all__ = [
     "XI_GRID_MAX",
     "GridResolutionError",
@@ -77,7 +79,6 @@ __all__ = [
     "x0_wavefunction",
     "p0_wavefunction",
     "epr_wavefunction",
-    "cv_norm_constraint",
     "solve_cv_beta",
     "k3_total_weight",
     "kernel_eval",
@@ -317,14 +318,6 @@ class GaussianState:
         s = slice(2 * mode, 2 * mode + 2)
         return GaussianState(self.mean[s].copy(), self.cov[s, s].copy())
 
-    def wigner_at(self, point: np.ndarray) -> float:
-        """W(r) = exp(-(r-mu)^T S^-1 (r-mu)/2) / sqrt(det S)."""
-        d = np.asarray(point, dtype=float).ravel() - self.mean
-        return float(
-            np.exp(-0.5 * d @ np.linalg.solve(self.cov, d))
-            / np.sqrt(np.linalg.det(self.cov))
-        )
-
     def wigner_factors(self, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
         """1-D factors (u, v) of a single-mode state's Wigner function on
         ``lattice``: W(x[i], p[j]) = u[i] * v[j].  Only a state without x-p
@@ -465,22 +458,10 @@ def epr_wavefunction(xi: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return math.sqrt(2) * np.exp(-(a / 4) * (x1 - x2) ** 2 - (b / 4) * (x1 + x2) ** 2)
 
 
-def cv_norm_constraint(alpha: float, beta: float, xi: float) -> float:
-    """Residual alpha^2 + beta^2 + 4 alpha beta / sqrt(4 + 2 sinh^2 2 xi) - 1.
-
-    Zero when (alpha, beta) normalise the superposed program state; the
-    cross term is twice the overlap of its two branches.
-    """
-    return alpha**2 + beta**2 + alpha * beta * k3_total_weight(xi) - 1.0
-
-
 def solve_cv_beta(alpha: float, xi: float) -> float:
-    """Nonnegative beta completing ``alpha`` under the normalisation constraint."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    g = k3_total_weight(xi)
-    beta = (-g * alpha + math.sqrt(g * g * alpha * alpha + 4 * (1 - alpha * alpha))) / 2.0
-    return max(beta, 0.0)
+    """Nonnegative beta completing ``alpha`` under the normalisation
+    constraint: the branches overlap by k3_total_weight(xi) / 2."""
+    return two_branch_beta(alpha, k3_total_weight(xi) / 2)
 
 
 def k3_total_weight(xi: float) -> float:

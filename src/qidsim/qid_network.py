@@ -45,7 +45,6 @@ import numpy as np
 
 from .qudit_core import (
     ATOL_CHAIN,
-    ATOL_EXACT,
     MAX_TRIPARTITE_DIM,
     DensityOperator,
     Operator,
@@ -65,6 +64,7 @@ __all__ = [
     "build_qid_unitary",
     "apply_two_register_gate",
     "qid_by_gate_sequence",
+    "two_branch_beta",
     "solve_beta",
     "program_state",
     "cloner_program",
@@ -77,13 +77,18 @@ __all__ = [
 ]
 
 
-def conditional_add(dim: int) -> Operator:
-    """Conditional adder |k>|m> -> |k>|(k+m) mod N> (generalised C-NOT)."""
+def _conditional_shift(dim: int, sign: int) -> Operator:
+    """|k>|m> -> |k>|(m + sign*k) mod N>, as a permutation matrix."""
     d = validate_dim(dim)
     mat = np.zeros((d * d, d * d), dtype=complex)
     k, m = np.divmod(np.arange(d * d), d)
-    mat[k * d + (k + m) % d, k * d + m] = 1.0
+    mat[k * d + (m + sign * k) % d, k * d + m] = 1.0
     return Operator((d, d), mat, check_unitary=True)
+
+
+def conditional_add(dim: int) -> Operator:
+    """Conditional adder |k>|m> -> |k>|(k+m) mod N> (generalised C-NOT)."""
+    return _conditional_shift(dim, 1)
 
 
 def conditional_sub(dim: int) -> Operator:
@@ -91,11 +96,7 @@ def conditional_sub(dim: int) -> Operator:
 
     Coincides with :func:`conditional_add` only for N = 2.
     """
-    d = validate_dim(dim)
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    k, m = np.divmod(np.arange(d * d), d)
-    mat[k * d + (m - k) % d, k * d + m] = 1.0
-    return Operator((d, d), mat, check_unitary=True)
+    return _conditional_shift(dim, -1)
 
 
 class PermutationGate:
@@ -174,15 +175,29 @@ def qid_by_gate_sequence(state: PureState) -> PureState:
     return state
 
 
-def solve_beta(dim: int, alpha: float) -> float:
-    """Nonnegative root of beta^2 + (2*alpha/N)*beta + alpha^2 - 1 = 0."""
-    d = validate_dim(dim)
+def two_branch_beta(alpha: float, overlap: float) -> float:
+    """Nonnegative beta normalising alpha*|E> + beta*|F> for unit branches
+    of real overlap <E|F>: the root of alpha^2 + beta^2 + 2*overlap*alpha*beta = 1.
+
+    The overlap is 1/N for |Xi_00> and |x_0>|p_0>, and
+    k3_total_weight(xi)/2 for their squeezed continuous-variable surrogates.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    beta = -alpha / d + math.sqrt(1.0 - alpha * alpha * (1.0 - 1.0 / d**2))
-    residual = alpha * alpha + beta * beta + 2 * alpha * beta / d - 1.0
-    assert beta >= -ATOL_EXACT and abs(residual) <= ATOL_EXACT
-    return max(beta, 0.0)
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"branch overlap must lie in [0, 1], got {overlap}")
+    # sqrt(S) - alpha*overlap, S = 1 - alpha^2 (1 - overlap^2), taken as
+    # (1 - alpha^2) / (sqrt(S) + alpha*overlap): no cancellation as alpha -> 1
+    gap = (1.0 - alpha) * (1.0 + alpha)
+    cross = alpha * overlap
+    beta = gap / (cross + math.hypot(cross, math.sqrt(gap))) if gap else 0.0
+    _check_normalisation(alpha, beta, overlap)
+    return beta
+
+
+def solve_beta(dim: int, alpha: float) -> float:
+    """Nonnegative root of beta^2 + (2*alpha/N)*beta + alpha^2 - 1 = 0."""
+    return two_branch_beta(alpha, 1.0 / validate_dim(dim))
 
 
 @dataclass
@@ -211,10 +226,10 @@ class DistributorOutput:
         return build_qid_unitary(psi.dim).apply(psi.tensor(ket))
 
 
-def _check_normalisation(dim: int, alpha: float, beta: float) -> None:
-    """(alpha, beta) must satisfy alpha^2 + beta^2 + 2*alpha*beta/N = 1; the
-    cross term comes from the 1/N overlap of the two branches.  NaN fails."""
-    residual = alpha * alpha + beta * beta + 2 * alpha * beta / dim - 1.0
+def _check_normalisation(alpha: float, beta: float, overlap: float) -> None:
+    """(alpha, beta) must satisfy alpha^2 + beta^2 + 2*overlap*alpha*beta = 1,
+    the cross term coming from the overlap of the two branches.  NaN fails."""
+    residual = alpha * alpha + beta * beta + 2 * alpha * beta * overlap - 1.0
     if not (abs(residual) <= ATOL_CHAIN):
         raise ValueError(f"(alpha, beta) violate the normalisation condition by {residual:.3e}")
 
@@ -222,7 +237,7 @@ def _check_normalisation(dim: int, alpha: float, beta: float) -> None:
 def program_state(dim: int, alpha: float, beta: float) -> PureState:
     """The two-register program ket alpha*|Xi_00> + beta*|x_0>|p_0>."""
     d = validate_dim(dim)
-    _check_normalisation(d, alpha, beta)
+    _check_normalisation(alpha, beta, 1.0 / d)
     amps = alpha * entangled_state(d, 0, 0).amplitudes
     # |p_0> is the Fourier operator's column 0, exactly 1/sqrt(N) everywhere
     x0p0 = np.kron(np.eye(d, dtype=complex)[0], np.full(d, 1 / np.sqrt(d), dtype=complex))
@@ -332,7 +347,7 @@ def _closed_form_matrices(
     d = validate_dim(dim)
     if psi.dims != (d,):
         raise ValueError("psi must be a single register of the given dimension")
-    _check_normalisation(d, alpha, beta)
+    _check_normalisation(alpha, beta, 1.0 / d)
     rho_in = np.outer(psi.amplitudes, psi.amplitudes.conj())
     eye = np.eye(d)
     ab = alpha * beta

@@ -256,42 +256,26 @@ def entangled_state(dim: int, m: int, n: int) -> PureState:
     return PureState((d, d), amps)
 
 
-def _keep_indices(keep: Iterable[int], num_registers: int) -> tuple[int, ...]:
-    kept = tuple(sorted(set(int(i) for i in keep)))
-    if not kept:
-        raise ValueError("keep set is empty")
-    if any(i < 0 or i >= num_registers for i in kept):
-        raise ValueError(f"register index out of range in {kept}")
-    if len(kept) == num_registers:
-        raise ValueError("keep set must be a proper subset of the registers")
-    return kept
-
-
-def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Reduced density operator over the registers in ``keep`` (0-based).
+def partial_trace(state: PureState, keep: Iterable[int]) -> DensityOperator:
+    """Reduced density operator of a pure state over the registers in
+    ``keep`` (0-based).
 
     ``keep`` is treated as a set; kept registers stay in ascending order.
     """
-    if isinstance(state, PureState):
-        kept = _keep_indices(keep, state.num_registers)
-        tensor = np.moveaxis(state.as_tensor(), kept, range(len(kept)))
-        d_keep = int(np.prod([state.dims[i] for i in kept]))
-        flat = tensor.reshape(d_keep, -1)
-        mat = flat @ flat.conj().T
-        return DensityOperator(tuple(state.dims[i] for i in kept), mat)
-    if isinstance(state, DensityOperator):
-        kept = _keep_indices(keep, len(state.dims))
-        r = len(state.dims)
-        tensor = state.matrix.reshape(state.dims + state.dims)
-        traced = [i for i in range(r) if i not in kept]
-        # contract bra/ket axis pairs of the traced registers, highest first
-        for i in sorted(traced, reverse=True):
-            tensor = np.trace(tensor, axis1=i, axis2=i + (tensor.ndim // 2))
-        d_keep = int(np.prod([state.dims[i] for i in kept]))
-        return DensityOperator(
-            tuple(state.dims[i] for i in kept), tensor.reshape(d_keep, d_keep)
-        )
-    raise TypeError(f"unsupported state type {type(state)!r}")
+    if not isinstance(state, PureState):
+        raise TypeError(f"unsupported state type {type(state)!r}")
+    kept = tuple(sorted(set(int(i) for i in keep)))
+    if not kept:
+        raise ValueError("keep set is empty")
+    if any(i < 0 or i >= state.num_registers for i in kept):
+        raise ValueError(f"register index out of range in {kept}")
+    if len(kept) == state.num_registers:
+        raise ValueError("keep set must be a proper subset of the registers")
+    tensor = np.moveaxis(state.as_tensor(), kept, range(len(kept)))
+    d_keep = int(np.prod([state.dims[i] for i in kept]))
+    flat = tensor.reshape(d_keep, -1)
+    mat = flat @ flat.conj().T
+    return DensityOperator(tuple(state.dims[i] for i in kept), mat)
 
 
 def fidelity(rho: DensityOperator, psi: PureState) -> float:

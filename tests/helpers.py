@@ -1,13 +1,13 @@
 """Test-only helpers: operators, index maps and entanglement and moment
 measures the library itself does not need, and numerical oracles for the
-third output's kernels, the closed-form kernel Wigner functions and the
-cross kernel's cosine sum."""
+third output's kernels, the closed-form kernel Wigner functions, the cross
+kernel's cosine sum and pointwise Gaussian Wigner functions."""
 
 import math
 
 import numpy as np
 
-from qidsim.cv_gaussian import WignerGrid, kernel_eval
+from qidsim.cv_gaussian import GaussianState, WignerGrid, kernel_eval
 from qidsim.qid_network import PermutationGate
 from qidsim.qudit_core import (
     DensityOperator,
@@ -122,3 +122,12 @@ def cosine_sum_by_matrix(left: np.ndarray, right: np.ndarray, theta: float) -> n
     the dense (rows x cols) cosine matrix."""
     i, j = np.arange(left.shape[-1]), np.arange(right.shape[-1])
     return ((left @ np.cos(theta * np.outer(i, j))) * right).sum(axis=-1)
+
+
+def gaussian_wigner_at(state: GaussianState, point: np.ndarray) -> float:
+    """W(r) = exp(-(r-mu)^T S^-1 (r-mu)/2) / sqrt(det S) of a Gaussian state
+    at one phase-space point."""
+    d = np.asarray(point, dtype=float).ravel() - state.mean
+    return float(
+        np.exp(-0.5 * d @ np.linalg.solve(state.cov, d)) / np.sqrt(np.linalg.det(state.cov))
+    )

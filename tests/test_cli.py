@@ -384,6 +384,24 @@ class TestOutputHandling:
         assert code == 0
         assert json.loads(target.read_text())["schema_version"] == 1
 
+    def test_out_naming_a_directory(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "clone", "--dim", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_wigner_dump_below_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys, "cv", "--xi", "0.5", "--grid", "64", "--dump-wigner", str(blocker / "w")
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {blocker / 'w_xi0.5.csv'}: ")
+        assert err.count("\n") == 1
+
     def test_unknown_dimension_errors(self, capsys):
         code, _, err = run_cli(capsys, "clone", "--dim", "1")
         assert code == 1

@@ -20,7 +20,6 @@ from qidsim.cv_gaussian import (
     convolve_with_kernel,
     cv_fidelity,
     cv_fidelity_asymptotic,
-    cv_norm_constraint,
     epr_wavefunction,
     gaussian_fidelity,
     k3_total_weight,
@@ -45,7 +44,12 @@ from qidsim.cv_gaussian import (
     x0_wavefunction,
 )
 
-from helpers import cosine_sum_by_matrix, grid_moments, kernel_wigner_by_cosine_transform
+from helpers import (
+    cosine_sum_by_matrix,
+    gaussian_wigner_at,
+    grid_moments,
+    kernel_wigner_by_cosine_transform,
+)
 
 VACUUM = GaussianState.vacuum()
 
@@ -174,7 +178,7 @@ class TestRegularizedStates:
                 -(a / 2) * ((x1 - x2) ** 2 + (p1 + p2) ** 2)
                 - (b / 2) * ((x1 + x2) ** 2 + (p1 - p2) ** 2)
             )
-            assert abs(state.wigner_at(np.array(point)) - closed) < 1e-8
+            assert abs(gaussian_wigner_at(state, np.array(point)) - closed) < 1e-8
 
     def test_single_mode_wigner_grids_match_closed_forms(self):
         xi = 0.7
@@ -227,25 +231,34 @@ class TestRegularizedStates:
                 kernel_eval(1, xi, 0.0, 0.0)
 
 
+def cv_norm_residual(alpha, beta, xi):
+    """alpha^2 + beta^2 + alpha beta g - 1, g = 4 / sqrt(4 + 2 sinh^2 2 xi):
+    zero when (alpha, beta) normalise the superposed program state."""
+    return alpha**2 + beta**2 + alpha * beta * k3_total_weight(xi) - 1.0
+
+
 class TestNormalisationConstraint:
     def test_zero_squeezing_reduces_to_sum_one(self):
         for alpha in (0.0, 0.3, 1.0):
-            assert abs(cv_norm_constraint(alpha, 1 - alpha, 0.0)) < 1e-12
+            assert abs(cv_norm_residual(alpha, 1 - alpha, 0.0)) < 1e-12
+            assert abs(solve_cv_beta(alpha, 0.0) - (1 - alpha)) < 1e-12
 
     def test_endpoint(self):
         for xi in (0.0, 1.0, 4.0):
-            assert abs(cv_norm_constraint(1.0, 0.0, xi)) < 1e-12
+            assert abs(cv_norm_residual(1.0, 0.0, xi)) < 1e-12
+            assert solve_cv_beta(1.0, xi) == 0.0
 
     def test_cross_term_vanishes_at_large_squeezing(self):
-        val = cv_norm_constraint(math.sqrt(0.5), math.sqrt(0.5), 20.0)
+        val = cv_norm_residual(math.sqrt(0.5), math.sqrt(0.5), 20.0)
         assert abs(val) < 1e-12
+        assert abs(solve_cv_beta(math.sqrt(0.5), 20.0) - math.sqrt(0.5)) < 1e-12
 
     def test_solver(self):
         for xi in (0.0, 0.5, 2.0):
             for alpha in (0.0, 0.4, 0.9, 1.0):
                 beta = solve_cv_beta(alpha, xi)
                 assert beta >= 0
-                assert abs(cv_norm_constraint(alpha, beta, xi)) < 1e-12
+                assert abs(cv_norm_residual(alpha, beta, xi)) < 1e-12
 
     def test_cross_weight_value(self):
         assert abs(k3_total_weight(0.0) - 2.0) < 1e-15
@@ -753,7 +766,7 @@ class TestWignerGrid:
         state = GaussianState(np.array([0.3, -0.2]), np.array([[0.9, 0.35], [0.35, 0.6]]))
         lattice = Lattice(-4.0, 5.0, -3.5, 3.0, 31, 29)
         grid = state.wigner_grid(lattice)
-        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
         assert np.abs(grid.values - np.array(want)).max() < 1e-12
         with pytest.raises(ValueError, match="x-p correlation"):
             state.wigner_factors(lattice)
@@ -769,7 +782,7 @@ class TestWignerGrid:
         lattice = Lattice.centered(6.0, 61)
         grid = state.wigner_grid(lattice)
         assert np.isfinite(grid.values).all()
-        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
         assert np.abs(grid.values - np.array(want)).max() < 1e-12
         # the state is pure, det S = 1/4
         ridge = 2 * np.exp(-2 * lattice.x**2 * math.exp(-2 * r))
@@ -780,7 +793,7 @@ class TestWignerGrid:
         lattice = Lattice(-5.0, 6.0, -4.0, 4.5, 23, 19)
         u, v = state.wigner_factors(lattice)
         assert u.shape == (23,) and v.shape == (19,)
-        want = [[state.wigner_at(np.array([x, p])) for p in lattice.p] for x in lattice.x]
+        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
         assert np.abs(np.outer(u, v) - np.array(want)).max() < 1e-12
         assert np.array_equal(state.wigner_grid(lattice).values, np.outer(u, v))
         with pytest.raises(ValueError, match="single-mode"):

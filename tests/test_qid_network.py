@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -23,7 +24,10 @@ from qidsim.qid_network import (
     qid_by_gate_sequence,
     scaling_factor,
     solve_beta,
+    two_branch_beta,
 )
+from qidsim.cli import XI_MAX
+from qidsim.cv_gaussian import k3_total_weight, solve_cv_beta
 from qidsim.qudit_core import (
     MAX_TRIPARTITE_DIM,
     PureState,
@@ -164,6 +168,77 @@ class TestProgramStates:
         # NaN compares false with any tolerance, so the gate must reject it
         with pytest.raises(ValueError, match="normalisation condition by nan"):
             program_state(3, math.nan, 0.5)
+
+
+EPS = float(np.finfo(float).eps)
+# alpha anywhere in [0, 1], and within 2^-13 of 1, where beta -> 0 at a small overlap
+ALPHAS = st.one_of(
+    st.floats(0.0, 1.0), st.integers(0, 2**40).map(lambda k: 1.0 - k * 2.0**-53)
+)
+
+
+def exact_beta(alpha: float, overlap: float) -> float:
+    """-alpha*overlap + sqrt(1 - alpha^2 (1 - overlap^2)) for the float
+    inputs, in decimal arithmetic precise enough to hold 1 - overlap^2 for
+    the smallest subnormal overlap."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        a, o = decimal.Decimal(alpha), decimal.Decimal(overlap)
+        return float(-a * o + (1 - a * a * (1 - o * o)).sqrt())
+
+
+def assert_near_superseded(beta: float, old: float, alpha: float, overlap: float) -> None:
+    """beta is within 1e-15 of a superseded root formula, widened where that
+    formula loses digits.  Those formulas round S = 1 - alpha^2 (1 - overlap^2)
+    to about eps, and sqrt(S) turns that into about eps / (2 sqrt(S)): up to
+    4e-14 at alpha = 1 - 1e-7 and N = 1000."""
+    root = math.hypot(alpha * overlap, math.sqrt((1.0 - alpha) * (1.0 + alpha)))
+    assert abs(beta - old) * root <= 1e-15 * root + EPS
+
+
+class TestTwoBranchBeta:
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=ALPHAS, overlap=st.floats(0.0, 1.0))
+    def test_root(self, alpha, overlap):
+        beta = two_branch_beta(alpha, overlap)
+        assert beta >= 0
+        assert abs(alpha**2 + beta**2 + 2 * overlap * alpha * beta - 1) <= 1e-12
+        # a few roundings, with no cancellation: relative error of a few eps
+        assert abs(beta - exact_beta(alpha, overlap)) <= 4 * EPS * beta
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=ALPHAS, dim=st.integers(2, 10**6))
+    def test_solve_beta_keeps_the_qudit_root(self, alpha, dim):
+        beta = solve_beta(dim, alpha)
+        assert beta >= 0
+        assert abs(alpha**2 + beta**2 + 2 * alpha * beta / dim - 1) <= 1e-12
+        old = max(-alpha / dim + math.sqrt(1 - alpha**2 * (1 - 1 / dim**2)), 0.0)
+        assert_near_superseded(beta, old, alpha, 1 / dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=ALPHAS, xi=st.floats(0.0, XI_MAX))
+    def test_solve_cv_beta_keeps_the_cv_root(self, alpha, xi):
+        beta = solve_cv_beta(alpha, xi)
+        g = k3_total_weight(xi)
+        assert beta >= 0
+        assert abs(alpha**2 + beta**2 + g * alpha * beta - 1) <= 1e-12
+        old = max((-g * alpha + math.sqrt(g * g * alpha * alpha + 4 * (1 - alpha**2))) / 2, 0.0)
+        assert_near_superseded(beta, old, alpha, g / 2)
+
+    @pytest.mark.parametrize("alpha, overlap", (
+        (math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (0.5, -1e-300),
+        (math.nextafter(1.0, 2.0), 0.5), (0.5, 1.5), (math.inf, 0.5), (0.5, math.inf),
+    ))
+    def test_rejects_outside_the_unit_interval(self, alpha, overlap):
+        with pytest.raises(ValueError, match="must lie in"):
+            two_branch_beta(alpha, overlap)
+
+    def test_superseded_formula_loses_digits_near_alpha_one(self):
+        alpha, dim = 0.9999999, 1000
+        exact = exact_beta(alpha, 1 / dim)
+        old = -alpha / dim + math.sqrt(1 - alpha**2 * (1 - 1 / dim**2))
+        assert abs(old - exact) > 1e-14
+        assert abs(solve_beta(dim, alpha) - exact) <= EPS * exact
 
 
 class TestDistribution:
