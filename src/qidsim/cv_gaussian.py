@@ -31,7 +31,9 @@ product: a product of 1-D sums per Gaussian kernel, and for the cross
 kernel a double sum with the phase c kx kp on two uniform frequency grids,
 which is a chirp-z transform done as one 1-D FFT convolution
 (:func:`_cosine_sum`).  No (kx x kp) array is built for a grid row; a 2-D
-grid is built only to be convolved and written out.  A squeezing strength
+grid is built only to be convolved and written out.  Every transform is
+``numpy.fft``'s, zero padded to a length whose prime factors are all small
+(:func:`_next_fast_len`), so the library needs no scipy.  A squeezing strength
 ``xi`` is a plain float; every entry point rejects one that is negative or
 not finite.
 
@@ -51,13 +53,14 @@ on the triple.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft2, next_fast_len, rfft, rfft2
+from numpy.fft import fft, ifft, irfft2, rfft, rfft2
 
 from .qid_network import two_branch_beta
 
@@ -616,17 +619,33 @@ def _cosine_sum(left: np.ndarray, right: np.ndarray, theta: float) -> np.ndarray
     """
     rows, cols = left.shape[-1], right.shape[-1]
     size = rows + cols - 1
-    n = next_fast_len(size)
-    a = left * _chirp(theta, np.arange(rows))
-    b = right * _chirp(theta, np.arange(cols))
+    n = _next_fast_len(size, real=False)
+    # e(n) is even in n, so one chirp serves i, j and the lag |m|
+    squares = np.arange(max(rows, cols)) ** 2
+    chirp = np.exp(1j * (theta / 2) * squares)
+    a = left * chirp[:rows]
+    b = right * chirp[:cols]
     # entry rows - 1 + m of the convolution is corr[m], m = 1 - rows .. cols - 1
     corr = ifft(fft(a[..., ::-1], n) * fft(b, n))[..., :size]
-    return (corr * _chirp(-theta, np.arange(1 - rows, cols))).real.sum(axis=-1)
+    lag = np.abs(np.arange(1 - rows, cols))
+    return (corr * chirp[lag].conj()).real.sum(axis=-1)
 
 
-def _chirp(theta: float, n: np.ndarray) -> np.ndarray:
-    """exp(i theta n^2 / 2) on integers ``n``."""
-    return np.exp(1j * (theta / 2) * (n * n))
+@functools.cache
+def _next_fast_len(target: int, real: bool) -> int:
+    """Smallest n >= ``target`` whose prime factors are all 2, 3 and 5
+    (``real``) or 2, 3, 5, 7 and 11 (complex), lengths that pocketfft,
+    numpy's FFT, transforms fast; the same rule as ``scipy.fft.next_fast_len``."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    n = target
+    while True:
+        rest = n
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _kernel_sigma(which: int, xi: float, output: int) -> float:
@@ -685,8 +704,8 @@ def _padded_shape(grid: Lattice, sigma: float) -> tuple[int, int]:
     mx = int(np.ceil(6 * sigma / grid.dx)) + 1
     mp = int(np.ceil(6 * sigma / grid.dp)) + 1
     return (
-        next_fast_len(grid.n_x + 2 * mx, real=True),
-        next_fast_len(grid.n_p + 2 * mp, real=True),
+        _next_fast_len(grid.n_x + 2 * mx, real=True),
+        _next_fast_len(grid.n_p + 2 * mp, real=True),
     )
 
 

@@ -334,17 +334,28 @@ class TestCv:
             f"which samples xi <= {XI_MAX}\n"
         )
 
-    def test_cold_start_skips_scipy_integrate(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        script = (
-            "import sys\n"
-            "from qidsim.cli import main\n"
-            "code = main(['cv', '--xi', '0.5', '--grid', '128'])\n"
-            "sys.exit(code or 'scipy.integrate' in sys.modules)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["cv", "--xi", "0.5", "--grid", "128"],
+        ["distribute", "--dim", "8", "--alpha", "0.4"],
+        ["clone", "--dim-range", "2:4"],
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_cold_start_imports_no_scipy(argv):
+    # the library runs on numpy alone; scipy is a test-side oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from qidsim.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(code or (scipy and f'imported {len(scipy)} scipy modules, {scipy[:3]} first') or 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestCoherentClone:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import irfft2, rfft2
+from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.integrate import quad
 
 from qidsim import cv_gaussian
@@ -753,6 +753,15 @@ class TestCosineSum:
         theta = 1.7e3 / ((rows - 1) * (cols - 1))
         self.check(rows, cols, theta, seed=2)
         self.check(rows, cols, 7.3, seed=3)
+
+
+class TestNextFastLen:
+    @pytest.mark.parametrize("real", (True, False))
+    def test_matches_scipy(self, real):
+        # scipy is the oracle only: the padded shapes, and so every printed
+        # digit, stay those of the scipy.fft backend the library used before
+        got = [cv_gaussian._next_fast_len(n, real) for n in range(1, 20001)]
+        assert got == [next_fast_len(n, real=real) for n in range(1, 20001)]
 
 
 class TestWignerGrid:
