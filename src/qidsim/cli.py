@@ -454,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except OverflowError as exc:
         return _fail(f"numeric overflow: {exc}")
+    except MemoryError as exc:
+        return _fail(f"out of memory: {str(exc) or 'allocation failed'}")
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .qudit_core import (
     DensityOperator,
     Operator,
     PureState,
-    entangled_state,
     partial_trace,  # noqa: F401 - bound here for qidbench, whose tracer tests rebind it
     shift_p,
     shift_x,
@@ -238,10 +238,13 @@ def program_state(dim: int, alpha: float, beta: float) -> PureState:
     """The two-register program ket alpha*|Xi_00> + beta*|x_0>|p_0>."""
     d = validate_dim(dim)
     _check_normalisation(alpha, beta, 1.0 / d)
-    amps = alpha * entangled_state(d, 0, 0).amplitudes
-    # |p_0> is the Fourier operator's column 0, exactly 1/sqrt(N) everywhere
-    x0p0 = np.kron(np.eye(d, dtype=complex)[0], np.full(d, 1 / np.sqrt(d), dtype=complex))
-    amps = amps + beta * x0p0
+    # |Xi_00> is 1/sqrt(N) on the diagonal of the N x N amplitude matrix, and
+    # |x_0>|p_0> is 1/sqrt(N) on row 0 (|p_0> is the Fourier operator's
+    # column 0)
+    amp = 1 / np.sqrt(d)
+    amps = np.zeros(d * d, dtype=complex)
+    amps[:: d + 1] = alpha * amp
+    amps[:d] += beta * amp
     amps /= np.linalg.norm(amps)
     return PureState((d, d), amps)
 
@@ -259,6 +262,75 @@ def _program_ket(ket: PureState) -> PureState:
     return ket
 
 
+class _ChannelTables(NamedTuple):
+    """Read-only ``take`` indices that depend on N alone.
+
+    ``rho_diag`` reads conj(psi); ``diagonals`` reads the flattened program
+    matrix C and ``reversed_rows`` its rows; ``shear`` reads the flattened C
+    and ``gram`` the flattened Gram products; ``back`` and ``back_3`` read
+    one flattened plane of :func:`distribute`'s work buffer.  ``columns`` is
+    the width of the Gram products' right factor.
+    """
+
+    rho_diag: np.ndarray
+    diagonals: np.ndarray
+    reversed_rows: np.ndarray
+    shear: np.ndarray
+    columns: int
+    gram: np.ndarray
+    back: np.ndarray
+    back_3: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_tables(dim: int) -> _ChannelTables:
+    """Index tables of :func:`distribute` and :func:`_third_output_kernels`.
+
+    The tables of the last dimension asked for are cached, like the gate of
+    :func:`build_qid_unitary`, and stay held after :func:`distribute`
+    returns: int64 indices of 56 bytes per N² entry for even N and 48 for
+    odd N, which is 59 MB at N = 1024 and 0.9 GB at N = 4096.
+    """
+    d = validate_dim(dim)
+    x = np.arange(d)
+    delta = x[:, None]
+    v_prime = (x - 2 * delta) % d
+    # Output 3's sheared columns y_v[w] = C[w + s(v), v], gathered into the
+    # left factor Z of each Gram product, whose right factor is Z's first
+    # ``columns`` columns.  Odd N: one Z = [y_0 ... y_{N-1}].  Even N: one Z
+    # per column parity p, [y_p, y_{p+2}, ... | the same rolled by N/2].
+    if d % 2:
+        columns = d
+        shift = x * ((d + 1) // 2) % d
+        col = x[None, None, :]
+        offset = shift[col]
+        gram = v_prime * d + x
+    else:
+        columns = half = d // 2
+        shift = x // 2
+        col = 2 * (x % half) + np.arange(2)[:, None, None]
+        offset = shift[col] + half * (x >= half)
+        rolled = (shift - delta - shift[v_prime]) % d != 0
+        gram = (x % 2) * d * half + (v_prime // 2 + half * rolled) * half + x // 2
+    tables = _ChannelTables(
+        # rho[x, x + delta] = psi[x] * conj(psi[x + delta]): rho's diagonal -delta
+        rho_diag=(x + delta) % d,
+        diagonals=x * d + (x - delta) % d,  # C[x, x - j]
+        reversed_rows=-x % d,  # C[-j, u]
+        shear=((delta + offset) % d) * d + col,
+        columns=columns,
+        gram=gram,
+        # back from diagonals, see distribute: out[a, b] reads diagonal b - a
+        # of a plane stored [a, diagonal], or a - b of one stored [diagonal, a]
+        back=delta * d + (x - delta) % d,
+        back_3=((delta - x) % d) * d + delta,
+    )
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return tables
+
+
 def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
     """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of Gram
     products of sheared columns of C.
@@ -271,22 +343,10 @@ def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
     v' has v's parity, so the products are taken per parity: two N x N/2
     products, half the work of one over all pairs.
     """
-    dim = coeffs.shape[0]
-    v = np.arange(dim)
-    shear = v * ((dim + 1) // 2) % dim if dim % 2 else v // 2
-    sheared = coeffs[(v[:, None] + shear) % dim, v]
-    delta = v[:, None]
-    v_prime = (v - 2 * delta) % dim
-    if dim % 2:
-        return (sheared.conj().T @ sheared)[v_prime, v]
-    half = dim // 2
-    gram = np.empty((2, dim, half), dtype=sheared.dtype)
-    for parity in (0, 1):
-        y = sheared[:, parity::2]
-        z = np.concatenate([y, np.roll(y, -half, axis=0)], axis=1)
-        np.matmul(z.conj().T, y, out=gram[parity])
-    rolled = (shear - delta - shear[v_prime]) % dim != 0
-    return gram[v % 2, v_prime // 2 + half * rolled, v // 2]
+    tables = _channel_tables(coeffs.shape[0])
+    z = coeffs.take(tables.shear, mode="clip")
+    gram = np.matmul(z.conj().swapaxes(1, 2), z[:, :, : tables.columns])
+    return gram.take(tables.gram, mode="clip")
 
 
 def distribute(psi: PureState, program: PureState) -> DistributorOutput:
@@ -303,34 +363,41 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     d = psi.dim
     if ket.dims[0] != d:
         raise ValueError(f"dimension mismatch: input {d}, program {ket.dims[0]}")
+    tables = _channel_tables(d)
     coeffs = ket.amplitudes.reshape(d, d)
-    x = np.arange(d)
-    # mat[x, diag_cols][delta, x] = mat[x, x - delta]: the cyclic diagonals
-    diag_cols = (x - x[:, None]) % d
-    # One FFT along x for three arrays: rho's diagonals, and the rows whose
-    # circular autocorrelations are G_j (the diagonals C[u, u - j]) and H_j
-    # (the rows C[-j, u]).
-    spectra = np.empty((3, d, d), dtype=complex)
-    spectra[0] = psi.amplitudes * psi.amplitudes.conj()[diag_cols]
-    spectra[1] = coeffs[x, diag_cols]
-    spectra[2] = coeffs[-x]
-    spectra = np.fft.fft(spectra, axis=2)
-    rho_ft = spectra[0]
-    # |spectra[1:]|^2 / N are the weights of the shift operators in outputs 1
-    # and 2.  One more FFT gives both transfer functions,
-    # transfer[., k, delta] = sum_j R_j(delta) * exp(2 pi i j k / N) for
-    # R = G, H, and output 3's kernels K_delta transformed along v.
-    transfer = np.empty((3, d, d), dtype=complex)
-    transfer[:2] = np.fft.ifft(np.abs(spectra[1:]) ** 2, axis=1)
-    transfer[2] = _third_output_kernels(coeffs)
-    transfer = np.fft.fft(transfer, axis=2)
+    # One work buffer, transformed in place.  Slot 0 holds rho's diagonals
+    # in reversed order, rho[x, x + delta], and slots 1 and 2 the rows whose
+    # circular autocorrelations are G_j (the diagonals C[x, x - j]) and H_j
+    # (the rows C[-j, u]); one FFT along x takes all three.
+    buf = np.empty((3, d, d), dtype=complex)
+    np.take(psi.amplitudes.conj(), tables.rho_diag, out=buf[0], mode="clip")
+    buf[0] *= psi.amplitudes
+    np.take(coeffs, tables.diagonals, out=buf[1], mode="clip")
+    np.take(coeffs, tables.reversed_rows, axis=0, out=buf[2], mode="clip")
+    np.fft.fft(buf, axis=2, out=buf)
+    # |S|^2 / N are the weights of the shift operators in outputs 1 and 2.
+    # An inverse 2-D FFT, over j and the frequency, gives the transfer
+    # functions sum_j R_j(-delta) * exp(2 pi i j k / N) for R = G, H, stored
+    # [k, delta].
+    power = buf[1:]
+    re, im = power.real, power.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    im.fill(0.0)
+    np.fft.ifftn(power, axes=(1, 2), norm="ortho", out=power)
+    # Output 3's kernels K_delta, transformed along v.
+    kernels = _third_output_kernels(coeffs)
+    np.fft.fft(kernels, axis=1, out=kernels)
     # Outputs 1 and 2 correlate rho's diagonal delta with R_.(delta); output 3
-    # convolves K_delta with rho[n, n + delta], which is rho's diagonal -delta.
-    filtered = np.empty((3, d, d), dtype=complex)
-    filtered[:2] = rho_ft * transfer[:2].swapaxes(1, 2)
-    filtered[2] = rho_ft[-x] * transfer[2]
-    # back from diagonals: out[a, b] = diagonals[a - b, a]
-    out = np.fft.ifft(filtered, axis=2)[:, diag_cols.T, x[:, None]]
+    # convolves K_delta with rho[n, n + delta], which is slot 0's row delta.
+    power *= buf[0].T
+    buf[0] *= kernels
+    np.fft.ifft(power, axis=1, out=power)
+    np.fft.ifft(buf[0], axis=1, out=buf[0])
+    out = np.empty_like(buf)
+    np.take(power.reshape(2, d * d), tables.back, axis=1, out=out[:2], mode="clip")
+    np.take(buf[0], tables.back_3, out=out[2], mode="clip")
     return DistributorOutput(
         DensityOperator((d,), out[0]),
         DensityOperator((d,), out[1]),

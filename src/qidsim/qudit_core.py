@@ -136,10 +136,11 @@ class DensityOperator:
 
     Every construction checks, in order: shape, finite entries, Hermitian to
     ``ATOL_CHAIN``, unit trace, and no eigenvalue below ``-ATOL_CHAIN``.  The
-    last check first tries a Cholesky factorisation of ``matrix + ATOL_CHAIN
-    * identity``, which exists when every eigenvalue is above
-    ``-ATOL_CHAIN``; only when it fails does the smallest eigenvalue from
-    ``eigvalsh`` decide.  Both read only the lower triangle.
+    last check first tries a Cholesky factorisation of a copy of ``matrix``
+    with ``ATOL_CHAIN`` added to its diagonal, which exists when every
+    eigenvalue is above ``-ATOL_CHAIN``; only when it fails does the
+    smallest eigenvalue from ``eigvalsh`` decide.  Both read only the lower
+    triangle.  The caller's array is never written.
     """
 
     __slots__ = ("dims", "matrix")
@@ -157,8 +158,10 @@ class DensityOperator:
         tr = np.trace(mat)
         if not (abs(tr - 1.0) <= ATOL_CHAIN):
             raise ValueError(f"trace is {tr}, expected 1")
+        shifted = mat.copy()
+        shifted.flat[:: d + 1] += ATOL_CHAIN
         try:
-            np.linalg.cholesky(mat + ATOL_CHAIN * np.eye(d))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             # not factorable: the smallest eigenvalue is at or below -ATOL_CHAIN,
             # or within roundoff of it

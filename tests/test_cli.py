@@ -514,6 +514,21 @@ class TestBadInput:
         assert err.startswith("error:")
         assert "--grid 256" in err and "xi=2.75" in err and "closed form" in err
 
+    @pytest.mark.parametrize("argv", (
+        ("distribute", "--dim", "3000000", "--alpha", "0.3"),
+        ("clone", "--dim", "3000000"),
+        ("covariance", "--dim", "3000000", "--trials", "1"),
+    ))
+    def test_out_of_memory_sizes(self, capsys, argv):
+        # the N^2 program ket asks for 131 TiB, beyond a 47-bit address
+        # space, so numpy refuses it at once; the N-amplitude input before it
+        # takes 48 MB
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1
+        assert "TiB" in err
+
     def test_non_finite_input_amplitudes(self, capsys):
         for spec in ("nan,1", "inf,1"):
             code, out, err = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qidsim.qid_network import (
     PermutationGate,
+    _channel_tables,
     _closed_form_matrices,
     _third_output_kernels,
     apply_two_register_gate,
@@ -150,15 +151,14 @@ class TestProgramStates:
         ket = cloner_program(dim)
         assert ket.distance_up_to_phase(PureState((dim, dim), expected)) < 1e-12
 
-    @pytest.mark.parametrize("dim", (2, 3, 8, 64))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7, 8, 9, 64))
     def test_ket_is_bit_identical_to_fourier_column_form(self, dim):
-        alpha = 0.3
-        beta = solve_beta(dim, alpha)
-        amps = alpha * entangled_state(dim, 0, 0).amplitudes + beta * np.kron(
-            np.eye(dim, dtype=complex)[0], fourier_operator(dim).matrix[:, 0]
-        )
-        amps /= np.linalg.norm(amps)
-        assert np.array_equal(program_state(dim, alpha, beta).amplitudes, amps)
+        x0p0 = np.kron(np.eye(dim, dtype=complex)[0], fourier_operator(dim).matrix[:, 0])
+        for alpha in (0.0, 0.1, 0.3, 0.5, math.sqrt(dim / (2.0 * (dim + 1))), 0.9, 1.0):
+            beta = solve_beta(dim, alpha)
+            amps = alpha * entangled_state(dim, 0, 0).amplitudes + beta * x0p0
+            amps /= np.linalg.norm(amps)
+            assert np.array_equal(program_state(dim, alpha, beta).amplitudes, amps)
 
     def test_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -303,6 +303,49 @@ class TestDistribution:
         oracle = third_output_kernels_by_loop(coeffs)
         gap = np.abs(_third_output_kernels(coeffs) - oracle).max()
         assert gap <= 1e-13 * np.abs(oracle).max()
+
+    def test_inputs_left_unchanged(self):
+        for dim in (4, 5):
+            rng = np.random.default_rng(dim)
+            psi = haar_random_state((dim,), rng)
+            ket = haar_random_state((dim, dim), rng)
+            before = psi.amplitudes.copy(), ket.amplitudes.copy()
+            distribute(psi, ket)
+            assert np.array_equal(psi.amplitudes, before[0])
+            assert np.array_equal(ket.amplitudes, before[1])
+
+    def test_repeated_dimension_gives_identical_outputs(self):
+        # N = 5 in between replaces the cached index tables of N = 4
+        rng = np.random.default_rng(6)
+        pairs = {dim: (haar_random_state((dim,), rng), haar_random_state((dim, dim), rng))
+                 for dim in (4, 5)}
+        outs = [distribute(*pairs[dim]) for dim in (4, 5, 4)]
+        for first, again in zip(
+            (outs[0].rho1, outs[0].rho2, outs[0].rho3), (outs[2].rho1, outs[2].rho2, outs[2].rho3)
+        ):
+            assert np.array_equal(first.matrix, again.matrix)
+
+    @pytest.mark.parametrize("dim", (4, 5))
+    def test_index_tables_are_cached_and_read_only(self, dim):
+        tables = _channel_tables(dim)
+        assert _channel_tables(dim) is tables
+        arrays = [t for t in tables if isinstance(t, np.ndarray)]
+        assert arrays
+        for table in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
+
+    @pytest.mark.parametrize("dim", (63, 64, 65))
+    def test_channel_equals_joint_oracle_at_large_n(self, dim):
+        # built with the permutation itself, since .joint stops at N = 64
+        rng = np.random.default_rng(dim)
+        psi = haar_random_state((dim,), rng)
+        ket = haar_random_state((dim, dim), rng)
+        out = distribute(psi, ket)
+        joint = build_qid_unitary(dim).apply(psi.tensor(ket))
+        for register, rho in enumerate((out.rho1, out.rho2, out.rho3)):
+            oracle = partial_trace(joint, (register,)).matrix
+            assert np.abs(rho.matrix - oracle).max() <= 1e-12
 
     def test_joint_is_built_only_when_read(self, monkeypatch):
         def refuse(self, state):

@@ -297,6 +297,17 @@ class TestStateAndOperatorValidation:
         with pytest.raises(ValueError, match="non-finite"):
             DensityOperator((2,), np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("dim", (2, 5, 64))
+    def test_construction_leaves_the_input_alone(self, dim):
+        # a complex array is taken without a copy, so a positivity check
+        # that shifted its diagonal in place would write the caller's array
+        psi = haar_random_state((dim, dim), np.random.default_rng(dim))
+        mat = partial_trace(psi, (0,)).matrix.copy()
+        before = mat.copy()
+        rho = DensityOperator((dim,), mat)
+        assert np.array_equal(mat, before)
+        assert np.array_equal(rho.matrix, before)
+
     @settings(max_examples=200, deadline=None)
     @given(
         dim=st.integers(2, 8),
