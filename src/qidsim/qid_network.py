@@ -28,11 +28,18 @@ Outputs 1 and 2 are circular correlations along the cyclic diagonals of
 rho, done by FFT in O(N^2 log N) time; output 3's kernels K are entries of
 Gram products of sheared columns of C (N^3 multiply-adds in BLAS matrix
 products: one N x N product for odd N, one N x N/2 product per column
-parity for even N), and every output takes O(N^2) memory.  The joint state is built on
-demand, as an oracle, by the x-basis index permutation of
-:func:`build_qid_unitary` (never as an N^3 x N^3 matrix); the dense
-gate-by-gate product :func:`qid_by_gate_sequence` is the oracle for that
-permutation at small N.
+parity for even N), and every output takes O(N^2) memory.
+
+Outputs 1 and 2 are Weyl channels, rho -> sum_ab p_ab W_ab rho W_ab^dag over
+the shifts W_ab = X^a Z^b, with weights p = |S|^2 / N from the same FFT
+(the Heisenberg-Weyl cloners of Cerf, J. Mod. Opt. 47, 187 (2000)).  So
+weights that are nonnegative and sum to 1 certify those outputs positive,
+and only output 3, whose map has no such certificate, is factorised.
+
+The joint state is built on demand, as an oracle, by the x-basis index
+permutation of :func:`build_qid_unitary` (never as an N^3 x N^3 matrix);
+the dense gate-by-gate product :func:`qid_by_gate_sequence` is the oracle
+for that permutation at small N.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from .qudit_core import (
     DensityOperator,
     Operator,
     PureState,
+    _check_densities,
     partial_trace,  # noqa: F401 - bound here for qidbench, whose tracer tests rebind it
     shift_p,
     shift_x,
@@ -349,6 +357,22 @@ def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
     return gram.take(tables.gram, mode="clip")
 
 
+def _check_weyl_weights(squares: np.ndarray) -> None:
+    """The Weyl weights p = |S|^2 / N of outputs 1 and 2, given ``squares``
+    = |S|^2 stacked (2, N, N), must each be finite and nonnegative and sum
+    to 1 within ``ATOL_CHAIN``.  NaN fails.  A failure raises ValueError
+    naming the output."""
+    d = squares.shape[-1]
+    lowest = squares.min(axis=(1, 2)) / d
+    totals = squares.sum(axis=(1, 2)) / d
+    for output, (low, total) in enumerate(zip(lowest.tolist(), totals.tolist()), 1):
+        if not (low >= 0.0 and abs(total - 1.0) <= ATOL_CHAIN):
+            raise ValueError(
+                f"output {output} Weyl weights are not a probability distribution: "
+                f"smallest {low:.3e}, sum {total!r}"
+            )
+
+
 def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     """Run the distributor on input ``psi`` and a two-register program.
 
@@ -356,6 +380,14 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     any dimension: the reduced outputs come from the channel formulas in
     the module docstring.  The joint state is built only when
     ``.joint`` is read.
+
+    Outputs 1 and 2 are certified positive by their Weyl weights: each is
+    sum_ab p_ab W_ab rho W_ab^dag over the shifts W_ab = X^a Z^b, so weights
+    that are nonnegative and sum to 1 make it a density matrix, and no
+    factorisation is needed.  Output 3's map is not completely positive for
+    every program, so it alone is factorised.  All three are then checked
+    finite, Hermitian and of unit trace, in one :func:`_check_densities`
+    call.  A failed check raises ValueError naming the output.
     """
     ket = _program_ket(program)
     if psi.num_registers != 1:
@@ -375,7 +407,8 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     np.take(coeffs, tables.diagonals, out=buf[1], mode="clip")
     np.take(coeffs, tables.reversed_rows, axis=0, out=buf[2], mode="clip")
     np.fft.fft(buf, axis=2, out=buf)
-    # |S|^2 / N are the weights of the shift operators in outputs 1 and 2.
+    # |S|^2 / N are the weights of the shift operators in outputs 1 and 2;
+    # as a probability distribution they certify both outputs positive.
     # An inverse 2-D FFT, over j and the frequency, gives the transfer
     # functions sum_j R_j(-delta) * exp(2 pi i j k / N) for R = G, H, stored
     # [k, delta].
@@ -385,6 +418,7 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     np.square(im, out=im)
     re += im
     im.fill(0.0)
+    _check_weyl_weights(re)
     np.fft.ifftn(power, axes=(1, 2), norm="ortho", out=power)
     # Output 3's kernels K_delta, transformed along v.
     kernels = _third_output_kernels(coeffs)
@@ -398,11 +432,25 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     out = np.empty_like(buf)
     np.take(power.reshape(2, d * d), tables.back, axis=1, out=out[:2], mode="clip")
     np.take(buf[0], tables.back_3, out=out[2], mode="clip")
+    # finite, Hermitian and unit trace all three, and output 3 factorised
+    _check_densities(out, positive=(2,), names=("output 1", "output 2", "output 3"))
     return DistributorOutput(
-        DensityOperator((d,), out[0]),
-        DensityOperator((d,), out[1]),
-        DensityOperator((d,), out[2]),
-        inputs=(psi, ket),
+        *(DensityOperator._checked((d,), rho) for rho in out), inputs=(psi, ket)
+    )
+
+
+def _closed_form_coefficients(
+    dim: int, alpha: float, beta: float
+) -> tuple[tuple[float, float], ...]:
+    """(s_k, e_k) per output of :func:`predicted_outputs`: rho_k = s_k rho_in
+    + e_k 1, with rho_in transposed for output 3."""
+    d = validate_dim(dim)
+    _check_normalisation(alpha, beta, 1.0 / d)
+    ab = alpha * beta
+    return (
+        (alpha**2 + 2 * ab / d, beta**2 / d),
+        (beta**2 + 2 * ab / d, alpha**2 / d),
+        (2 * ab / d, (d - 2 * ab) / d**2),
     )
 
 
@@ -411,17 +459,14 @@ def _closed_form_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three matrices of :func:`predicted_outputs`, without the
     :class:`DensityOperator` checks."""
-    d = validate_dim(dim)
-    if psi.dims != (d,):
+    coefficients = _closed_form_coefficients(dim, alpha, beta)
+    if psi.dims != (dim,):
         raise ValueError("psi must be a single register of the given dimension")
-    _check_normalisation(alpha, beta, 1.0 / d)
     rho_in = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    eye = np.eye(d)
-    ab = alpha * beta
-    rho1 = (alpha**2 + 2 * ab / d) * rho_in + (beta**2 / d) * eye
-    rho2 = (beta**2 + 2 * ab / d) * rho_in + (alpha**2 / d) * eye
-    rho3 = (2 * ab / d) * rho_in.T + ((d - 2 * ab) / d**2) * eye
-    return rho1, rho2, rho3
+    eye = np.eye(dim)
+    return tuple(
+        s * rho + e * eye for rho, (s, e) in zip((rho_in, rho_in, rho_in.T), coefficients)
+    )
 
 
 def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> DistributorOutput:

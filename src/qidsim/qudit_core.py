@@ -131,16 +131,58 @@ def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureStat
     return PureState(dims, vec / np.linalg.norm(vec))
 
 
+def _check_densities(
+    stack: np.ndarray, positive: Sequence[int], names: Sequence[str] = ("matrix",)
+) -> None:
+    """Check each (N, N) slot of ``stack`` as a density matrix, in order.
+
+    Every slot must be finite, Hermitian to ``ATOL_CHAIN`` and of unit
+    trace.  The slots listed in ``positive`` must also have no eigenvalue
+    below ``-ATOL_CHAIN``: a Cholesky factorisation of the slot with
+    ``ATOL_CHAIN`` added to its diagonal exists when every eigenvalue is
+    above ``-ATOL_CHAIN``, and only when it fails does the smallest
+    eigenvalue from ``eigvalsh`` decide.  Both read only the lower triangle.
+    A non-finite entry fails the Hermitian comparison, so finiteness is
+    looked up only to name the failure.  One N x N scratch array serves
+    every slot; ``stack`` is never written.  A failure raises ValueError
+    naming the slot, by ``names[slot]``, and the check.
+    """
+    d = stack.shape[-1]
+    scratch = np.empty((d, d), dtype=complex)
+    for slot, (mat, name) in enumerate(zip(stack, names, strict=True)):
+        np.conjugate(mat.T, out=scratch)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            np.subtract(mat, scratch, out=scratch)
+        if not (np.abs(scratch).max() <= ATOL_CHAIN):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} has non-finite entries")
+            raise ValueError(f"{name} is not Hermitian")
+        tr = np.trace(mat)
+        if not (abs(tr - 1.0) <= ATOL_CHAIN):
+            raise ValueError(f"{name} has trace {tr}, expected 1")
+        if slot not in positive:
+            continue
+        np.copyto(scratch, mat)
+        scratch.flat[:: d + 1] += ATOL_CHAIN
+        try:
+            np.linalg.cholesky(scratch)
+        except np.linalg.LinAlgError:
+            # not factorable: the smallest eigenvalue is at or below -ATOL_CHAIN,
+            # or within roundoff of it
+            min_eig = float(np.linalg.eigvalsh(mat).min())
+            if not (min_eig >= -ATOL_CHAIN):
+                raise ValueError(f"{name} has negative eigenvalue {min_eig:.3e}") from None
+
+
 class DensityOperator:
     """Hermitian, positive, unit-trace operator over qudit registers.
 
-    Every construction checks, in order: shape, finite entries, Hermitian to
-    ``ATOL_CHAIN``, unit trace, and no eigenvalue below ``-ATOL_CHAIN``.  The
-    last check first tries a Cholesky factorisation of a copy of ``matrix``
-    with ``ATOL_CHAIN`` added to its diagonal, which exists when every
-    eigenvalue is above ``-ATOL_CHAIN``; only when it fails does the
-    smallest eigenvalue from ``eigvalsh`` decide.  Both read only the lower
-    triangle.  The caller's array is never written.
+    Every construction checks the shape, then runs :func:`_check_densities`
+    on the matrix as a stack of one: finite entries, Hermitian to
+    ``ATOL_CHAIN``, unit trace, and no eigenvalue below ``-ATOL_CHAIN`` by a
+    Cholesky factorisation with ``eigvalsh`` as the fallback.  The caller's
+    array is never written.  :meth:`_checked` wraps a matrix that a caller
+    has already put through that checker, or certified positive another way.
     """
 
     __slots__ = ("dims", "matrix")
@@ -151,24 +193,17 @@ class DensityOperator:
         d = int(np.prod(self.dims))
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix has non-finite entries")
-        if not (np.abs(mat - mat.conj().T).max() <= ATOL_CHAIN):
-            raise ValueError("matrix is not Hermitian")
-        tr = np.trace(mat)
-        if not (abs(tr - 1.0) <= ATOL_CHAIN):
-            raise ValueError(f"trace is {tr}, expected 1")
-        shifted = mat.copy()
-        shifted.flat[:: d + 1] += ATOL_CHAIN
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            # not factorable: the smallest eigenvalue is at or below -ATOL_CHAIN,
-            # or within roundoff of it
-            min_eig = float(np.linalg.eigvalsh(mat).min())
-            if not (min_eig >= -ATOL_CHAIN):
-                raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}") from None
+        _check_densities(mat[None], positive=(0,))
         self.matrix = mat
+
+    @classmethod
+    def _checked(cls, dims: tuple[int, ...], matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a complex matrix of shape ``(prod(dims),) * 2`` that is already
+        checked, without repeating the checks."""
+        rho = cls.__new__(cls)
+        rho.dims = dims
+        rho.matrix = matrix
+        return rho
 
     @property
     def dim(self) -> int:

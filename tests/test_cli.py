@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qidsim import cv_gaussian, qid_network
+from qidsim import cli, cv_gaussian, qid_network
 from qidsim.cli import XI_MAX, _exceeds, main
 from qidsim.qudit_core import DensityOperator
 
@@ -149,33 +149,75 @@ class TestDistribute:
 
 
     def test_gate_builds_no_reference_density_operators(self, monkeypatch, capsys):
-        # the three simulated outputs are the only validated operators
-        built = []
+        # the three simulated outputs are checked in one stack, output 3 alone
+        # factorised, and the gate builds no reference operator
+        checked, built = [], []
+        check = qid_network._check_densities
         validate = DensityOperator.__init__
+
+        def counted_check(stack, positive, names):
+            checked.append((stack.shape, tuple(positive)))
+            check(stack, positive, names)
 
         def counted(self, *args, **kwargs):
             built.append(args[0])
             validate(self, *args, **kwargs)
 
+        monkeypatch.setattr(qid_network, "_check_densities", counted_check)
         monkeypatch.setattr(DensityOperator, "__init__", counted)
         code, _, _ = run_cli(capsys, "distribute", "--dim", "8", "--alpha", "0.4")
         assert code == 0
-        assert len(built) == 3
+        assert checked == [((3, 8, 8), (2,))]
+        assert built == []
 
     @pytest.mark.parametrize("output", (0, 1, 2))
     def test_gate_catches_a_deviating_output(self, monkeypatch, capsys, output):
-        exact = qid_network._closed_form_matrices
+        # the identity's coefficient e_k off by 1e-9 moves every diagonal entry
+        # of the reference by exactly that much
+        exact = qid_network._closed_form_coefficients
 
         def shifted(*args):
-            closed = list(exact(*args))
-            closed[output] = closed[output] + 1e-9
-            return tuple(closed)
+            coefficients = list(exact(*args))
+            s, e = coefficients[output]
+            coefficients[output] = (s, e + 1e-9)
+            return tuple(coefficients)
 
-        monkeypatch.setattr(qid_network, "_closed_form_matrices", shifted)
+        monkeypatch.setattr(qid_network, "_closed_form_coefficients", shifted)
         code, out, err = run_cli(capsys, "distribute", "--dim", "8", "--alpha", "0.4")
         assert code == 1
         assert json.loads(out)["max_deviation"] > 1e-10
         assert err.startswith("error: simulation deviates from the closed form by 1.0")
+
+
+    def test_uncertified_weights_end_in_one_error_line(self, monkeypatch, capsys):
+        build = qid_network.program_state
+
+        def corrupted(*args):
+            ket = build(*args)
+            ket.amplitudes[0] = math.nan
+            return ket
+
+        monkeypatch.setattr(qid_network, "program_state", corrupted)
+        code, out, err = run_cli(capsys, "distribute", "--dim", "4", "--alpha", "0.4")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: output 1 Weyl weights are not a probability distribution")
+
+    def test_non_positive_output_3_ends_in_one_error_line(self, monkeypatch, capsys):
+        # the kernel K_0 = (1.5, -0.5, 0, 0) sends |0> to diag(1.5, -0.5, 0, 0)
+        def kernels(coeffs):
+            k = np.zeros(coeffs.shape, dtype=complex)
+            k[0, :2] = 1.5, -0.5
+            return k
+
+        monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)
+        code, out, err = run_cli(
+            capsys, "distribute", "--dim", "4", "--alpha", "0.4", "--input", "1,0,0,0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: output 3 has negative eigenvalue -5.000e-01\n"
 
 
 class TestCovariance:
@@ -519,10 +561,14 @@ class TestBadInput:
         ("clone", "--dim", "3000000"),
         ("covariance", "--dim", "3000000", "--trials", "1"),
     ))
-    def test_out_of_memory_sizes(self, capsys, argv):
+    def test_out_of_memory_sizes(self, monkeypatch, capsys, argv):
         # the N^2 program ket asks for 131 TiB, beyond a 47-bit address
-        # space, so numpy refuses it at once; the N-amplitude input before it
-        # takes 48 MB
+        # space, so numpy refuses it at once; it is built before the
+        # N-amplitude input, which is never drawn
+        def refuse(*args):
+            raise AssertionError("input drawn")
+
+        monkeypatch.setattr(cli, "haar_random_state", refuse)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

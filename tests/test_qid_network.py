@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qidsim import qid_network
 from qidsim.qid_network import (
     PermutationGate,
     _channel_tables,
+    _check_weyl_weights,
     _closed_form_matrices,
     _third_output_kernels,
     apply_two_register_gate,
@@ -376,6 +378,77 @@ class TestDistribution:
                 haar_random_state((2,), np.random.default_rng(0)),
                 haar_random_state((3, 3), np.random.default_rng(1)),
             )
+
+
+def weyl_squares(dim: int, seed: int) -> np.ndarray:
+    """|S|^2 = N p for two random weight tables p, stacked (2, N, N)."""
+    p = np.random.default_rng(seed).uniform(0.0, 1.0, (2, dim, dim))
+    p /= p.sum(axis=(1, 2), keepdims=True)
+    return dim * p
+
+
+class TestOutputCertificates:
+    def test_weights_of_a_distribution_pass(self):
+        squares = weyl_squares(5, 0)
+        squares[1, 0, 0] += 5 * 1e-11  # within ATOL_CHAIN of a unit sum
+        _check_weyl_weights(squares)
+
+    @pytest.mark.parametrize("output", (1, 2))
+    def test_negative_weight(self, output):
+        squares = weyl_squares(4, output)
+        # weight (0, 1) moves to (1, 0) and 1e-3 more with it: the sum stays 1
+        table = squares[output - 1]
+        table[1, 0] += table[0, 1] + 4e-3
+        table[0, 1] = -4e-3
+        with pytest.raises(ValueError, match=f"^output {output} Weyl weights .* smallest -1.000e-03"):
+            _check_weyl_weights(squares)
+
+    @pytest.mark.parametrize("output", (1, 2))
+    @pytest.mark.parametrize("offset", (1e-9, -1e-9))
+    def test_weights_that_miss_a_unit_sum(self, output, offset):
+        squares = weyl_squares(4, output)
+        squares[output - 1, 2, 3] += 4 * offset
+        with pytest.raises(ValueError, match=f"^output {output} Weyl weights are not a probability"):
+            _check_weyl_weights(squares)
+
+    @pytest.mark.parametrize("output", (1, 2))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_weight(self, output, bad):
+        squares = weyl_squares(4, output)
+        squares[output - 1, 3, 0] = bad
+        with pytest.raises(ValueError, match=f"^output {output} Weyl weights are not a probability"):
+            _check_weyl_weights(squares)
+
+    def test_distribute_rejects_a_nan_program(self):
+        ket = cloner_program(3)
+        ket.amplitudes[4] = math.nan
+        psi = haar_random_state((3,), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^output 1 Weyl weights are not a probability"):
+            distribute(psi, ket)
+
+    def test_distribute_factorises_output_3(self, monkeypatch):
+        # K_0 = (1.5, -0.5, 0, ...) sends the basis input |0> to the Hermitian,
+        # unit-trace diag(1.5, -0.5, 0, ...), which only the factorisation catches
+        def kernels(coeffs):
+            k = np.zeros(coeffs.shape, dtype=complex)
+            k[0, :2] = 1.5, -0.5
+            return k
+
+        monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)
+        basis = PureState((4,), np.eye(4)[0])
+        with pytest.raises(ValueError, match="^output 3 has negative eigenvalue -5.000e-01$"):
+            distribute(basis, cloner_program(4))
+
+    @pytest.mark.parametrize("dim", (*range(2, 9), 64))
+    def test_weights_certify_outputs_1_and_2(self, dim):
+        # skipping the factorisation of outputs 1 and 2 drops no failure that
+        # can happen: for Haar-random program kets and inputs both are positive
+        rng = np.random.default_rng(1000 + dim)
+        for _ in range(25 if dim <= 8 else 4):
+            psi = haar_random_state((dim,), rng)
+            out = distribute(psi, haar_random_state((dim, dim), rng))
+            for rho in (out.rho1, out.rho2):
+                assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
 
 
 class TestClosedFormOutputs:

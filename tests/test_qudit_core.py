@@ -10,6 +10,7 @@ from qidsim.qudit_core import (
     DensityOperator,
     Operator,
     PureState,
+    _check_densities,
     entangled_state,
     fidelity,
     fourier_operator,
@@ -339,6 +340,72 @@ class TestStateAndOperatorValidation:
     def test_random_states_normalised(self):
         psi = haar_random_state((5, 5), np.random.default_rng(9))
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+
+
+NAMES = ("output 1", "output 2", "output 3")
+
+
+def density_stack(dim: int, seed: int) -> np.ndarray:
+    """Three random full-rank density matrices, stacked (3, dim, dim)."""
+    rng = np.random.default_rng(seed)
+    return np.stack([unit_trace_with_min_eigenvalue(0.05, dim, rng) for _ in range(3)])
+
+
+class TestCheckDensities:
+    def test_accepts_density_matrices_and_writes_nothing(self):
+        stack = density_stack(5, 0)
+        before = stack.copy()
+        _check_densities(stack, positive=(0, 1, 2), names=NAMES)
+        assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("slot", (0, 1, 2))
+    @pytest.mark.parametrize("entry", ((1, 2), (3, 3)))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, complex(0, math.inf)))
+    def test_non_finite_entry_in_each_slot(self, slot, entry, bad):
+        stack = density_stack(4, slot)
+        stack[(slot, *entry)] = bad
+        with pytest.raises(ValueError, match=f"^output {slot + 1} has non-finite entries$"):
+            _check_densities(stack, positive=(2,), names=NAMES)
+
+    @pytest.mark.parametrize("slot", (0, 1, 2))
+    def test_non_hermitian_slot(self, slot):
+        stack = density_stack(4, slot)
+        stack[slot, 0, 1] += 2 * ATOL_CHAIN
+        with pytest.raises(ValueError, match=f"^output {slot + 1} is not Hermitian$"):
+            _check_densities(stack, positive=(), names=NAMES)
+
+    @pytest.mark.parametrize("slot", (0, 1, 2))
+    def test_trace_off(self, slot):
+        stack = density_stack(4, slot)
+        stack[slot, 2, 2] += 2 * ATOL_CHAIN
+        with pytest.raises(ValueError, match=f"^output {slot + 1} has trace .*, expected 1$"):
+            _check_densities(stack, positive=(), names=NAMES)
+
+    def test_negative_eigenvalue_fails_only_a_factorised_slot(self):
+        stack = density_stack(4, 7)
+        stack[1] = unit_trace_with_min_eigenvalue(-1e-3, 4, np.random.default_rng(7))
+        # positivity is asked of the listed slots alone
+        _check_densities(stack, positive=(0, 2), names=NAMES)
+        with pytest.raises(ValueError, match="^output 2 has negative eigenvalue -1.000e-03$"):
+            _check_densities(stack, positive=(1,), names=NAMES)
+
+    def test_factorises_the_listed_slots_only(self, monkeypatch):
+        factorised = []
+        cholesky = np.linalg.cholesky
+
+        def counted(mat):
+            factorised.append(mat.copy())
+            return cholesky(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        stack = density_stack(4, 3)
+        _check_densities(stack, positive=(2,), names=NAMES)
+        assert len(factorised) == 1
+        assert np.array_equal(factorised[0], stack[2] + ATOL_CHAIN * np.eye(4))
+
+    def test_one_name_per_slot(self):
+        with pytest.raises(ValueError):
+            _check_densities(density_stack(3, 0), positive=(), names=NAMES[:2])
 
 
 class TestNegativity:

@@ -16,3 +16,35 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _is_cholesky(node: ast.AST) -> bool:
+    """A call of np.linalg.cholesky (or numpy.linalg.cholesky)."""
+    func = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(func, ast.Attribute)
+        and func.attr == "cholesky"
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "linalg"
+    )
+
+
+def test_one_function_factorises_density_matrices():
+    # every density check goes through the one shared checker: a second
+    # factorisation beside it, in a function or at module level, would be a
+    # second check that can drift from it
+    calls, in_checker = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [(path.name, node.lineno) for node in ast.walk(tree) if _is_cholesky(node)]
+        in_checker += [
+            (path.name, node.lineno)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and (path.name, func.name) == ("qudit_core.py", "_check_densities")
+            for node in ast.walk(func)
+            if _is_cholesky(node)
+        ]
+    assert in_checker
+    assert calls == in_checker
