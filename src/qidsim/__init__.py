@@ -23,6 +23,7 @@ from .qid_network import (
     clone_fidelity,
     cloner_program,
     covariance_check,
+    covariance_deviation,
     distribute,
     predicted_outputs,
     program_state,

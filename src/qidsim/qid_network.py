@@ -59,8 +59,6 @@ from .qudit_core import (
     PureState,
     _check_densities,
     partial_trace,  # noqa: F401 - bound here for qidbench, whose tracer tests rebind it
-    shift_p,
-    shift_x,
     validate_dim,
 )
 
@@ -80,6 +78,7 @@ __all__ = [
     "predicted_outputs",
     "scaling_factor",
     "clone_fidelity",
+    "covariance_deviation",
     "covariance_check",
     "classical_distributor_fidelity",
 ]
@@ -493,6 +492,35 @@ def clone_fidelity(dim: int) -> float:
     return (d + 3) / (2.0 * (d + 1))
 
 
+def covariance_deviation(psi: PureState, program: PureState, shifts) -> float:
+    """Max deviation between shifting the input and shifting the outputs,
+    over every pair (n, m) in ``shifts``.
+
+    Displacing the input by X^n Z^m (shift_x(n)*shift_p(m)) must displace
+    the reduced outputs 1 and 2 by the same operator and output 3 by
+    X^n Z^-m.  Both act by index: Z^m multiplies x-basis entry x by
+    z[x] = exp(2 pi i m x / N), and X^n rolls the entries by n, so
+    X^n Z^m rho Z^-m X^-n is ``np.roll(rho * outer(z, conj(z)), (n, n))``.
+    Output 3 is compared conjugated, which turns its X^n Z^-m into X^n Z^m,
+    and the unshifted outputs are computed once for all pairs.  Returns the
+    largest elementwise deviation, NaN if any is NaN, and 0.0 for no pairs.
+    """
+    d = psi.dim
+
+    def outputs(state: PureState) -> np.ndarray:
+        out = distribute(state, program)
+        return np.array([out.rho1.matrix, out.rho2.matrix, out.rho3.matrix.conj()])
+
+    base = outputs(psi)
+    deviations = []
+    for n, m in shifts:
+        z = np.exp(2j * np.pi * m * np.arange(d) / d)
+        moved = outputs(PureState((d,), np.roll(z * psi.amplitudes, n)))
+        expected = np.roll(base * np.outer(z, z.conj()), (n, n), (1, 2))
+        deviations.append(np.abs(moved - expected).max())
+    return float(np.max(deviations, initial=0.0))
+
+
 def covariance_check(psi: PureState, program: PureState, n: int, m: int) -> float:
     """Max deviation between shifting the input and shifting the outputs.
 
@@ -500,20 +528,7 @@ def covariance_check(psi: PureState, program: PureState, n: int, m: int) -> floa
     outputs 1 and 2 by the same operator and output 3 by
     shift_x(n)*shift_p(-m).  Returns the largest elementwise deviation.
     """
-    d = psi.dim
-    base = distribute(psi, program)
-    s12 = (shift_x(d, n) @ shift_p(d, m)).matrix
-    s3 = (shift_x(d, n) @ shift_p(d, -m)).matrix
-    shifted_in = PureState((d,), s12 @ psi.amplitudes)
-    moved = distribute(shifted_in, program)
-    dev = 0.0
-    for rho_moved, rho_base, s in (
-        (moved.rho1, base.rho1, s12),
-        (moved.rho2, base.rho2, s12),
-        (moved.rho3, base.rho3, s3),
-    ):
-        dev = max(dev, float(np.abs(rho_moved.matrix - s @ rho_base.matrix @ s.conj().T).max()))
-    return dev
+    return covariance_deviation(psi, program, [(n, m)])
 
 
 def classical_distributor_fidelity(m_in: int, m_out: int, overlap: float) -> float:

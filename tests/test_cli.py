@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qidsim import cli, cv_gaussian, qid_network
 from qidsim.cli import XI_MAX, _exceeds, main
-from qidsim.qudit_core import DensityOperator
+from qidsim.qudit_core import DensityOperator, Operator
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +231,25 @@ class TestCovariance:
         code, out, _ = run_cli(capsys, "covariance", "--dim", "5", "--trials", "5")
         assert code == 0
         assert json.loads(out)["max_deviation"] < 1e-10
+
+    def test_one_unshifted_run_per_trial_and_no_dense_products(self, capsys, monkeypatch):
+        # a trial runs the distributor once unshifted and once per (n, m)
+        # pair, and shifts by index, never by a dense operator product
+        exact, calls = qid_network.distribute, []
+
+        def counted(psi, program):
+            calls.append(psi.dim)
+            return exact(psi, program)
+
+        def no_products(self, other):
+            raise AssertionError("dense Operator product")
+
+        monkeypatch.setattr(qid_network, "distribute", counted)
+        monkeypatch.setattr(Operator, "__matmul__", no_products)
+        code, out, err = run_cli(capsys, "covariance", "--dim", "3", "--trials", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["max_deviation"] <= 1e-15
+        assert calls == [3] * 2 * (9 + 1)
 
 
 class TestCv:
@@ -555,6 +574,25 @@ class TestBadInput:
         assert len(parse_csv(out)) == 1
         assert err.startswith("error:")
         assert "--grid 256" in err and "xi=2.75" in err and "closed form" in err
+
+    @pytest.mark.parametrize("xis, grid, kind", (
+        (("0.5", "1"), "16", "mass"),
+        (("2.75", "3"), "256", "closed form"),
+    ))
+    def test_first_failing_row_names_the_failure(self, capsys, xis, grid, kind):
+        # each row fails on its own (xi 3 at --grid 256 by its mass); run
+        # together, both rows are written and the first one's failure is named
+        singles = []
+        for xi in xis:
+            code, out, _ = run_cli(capsys, "cv", "--xi", xi, "--grid", grid)
+            assert code == 1
+            singles += parse_csv(out)
+        code, out, err = run_cli(capsys, "cv", "--xi", ",".join(xis), "--grid", grid)
+        assert code == 1
+        assert parse_csv(out) == singles
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"xi={float(xis[0])}" in err and kind in err
+        assert f"xi={float(xis[1])}" not in err
 
     @pytest.mark.parametrize("argv", (
         ("distribute", "--dim", "3000000", "--alpha", "0.3"),

@@ -21,6 +21,7 @@ from qidsim.qid_network import (
     conditional_add,
     conditional_sub,
     covariance_check,
+    covariance_deviation,
     distribute,
     predicted_outputs,
     program_state,
@@ -33,6 +34,7 @@ from qidsim.cli import XI_MAX
 from qidsim.cv_gaussian import k3_total_weight, solve_cv_beta
 from qidsim.qudit_core import (
     MAX_TRIPARTITE_DIM,
+    DensityOperator,
     PureState,
     entangled_state,
     fidelity,
@@ -106,6 +108,19 @@ class TestDistributorUnitary:
         assert build_qid_unitary(4) is not gate
         with pytest.raises(ValueError):
             gate.perm[0] = gate.perm[1]
+
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7, 16, 64))
+    def test_circuit_is_weyl_covariant(self, dim):
+        # the paper's covariance, as integer identities on the permutation:
+        # (a, b, c)[n, m, k] is the image of the basis triple (n, m, k)
+        a, b, c = np.unravel_index(build_qid_unitary(dim).perm, (dim,) * 3)
+        a, b, c = (r.reshape((dim,) * 3) for r in (a, b, c))
+        n = np.arange(dim)[:, None, None]
+        # n -> n + 1 moves the image by (1, 1, 1): X(x)1(x)1 becomes X(x)X(x)X
+        for r in (a, b, c):
+            assert np.array_equal(np.roll(r, -1, axis=0), (r + 1) % dim)
+        # a + b - c = n on every triple: Z(x)1(x)1 becomes Z(x)Z(x)Z^-1
+        assert np.array_equal((a + b - c) % dim, np.broadcast_to(n, a.shape))
 
     def test_gate_embedding_validates_registers(self):
         state = haar_random_state((3, 3, 3), np.random.default_rng(0))
@@ -562,7 +577,8 @@ class TestCovariance:
     def test_random_program_ket_is_covariant(self, dim, seed, data):
         # shifting the input by X^n Z^m shifts outputs 1 and 2 by X^n Z^m and
         # output 3 by X^n Z^-m, for program kets outside the two-parameter
-        # family too; the shifted input's outputs also match the joint oracle
+        # family too; the shifted input's outputs also match the joint oracle,
+        # and covariance_deviation's index shifts match the dense operators
         n = data.draw(st.integers(0, dim - 1), label="n")
         m = data.draw(st.integers(0, dim - 1), label="m")
         rng = np.random.default_rng(seed)
@@ -573,10 +589,57 @@ class TestCovariance:
         base = distribute(psi, ket)
         moved = distribute(PureState((dim,), s12 @ psi.amplitudes), ket)
         outputs = zip((moved.rho1, moved.rho2, moved.rho3), (base.rho1, base.rho2, base.rho3))
+        dense = []
         for register, ((rho, rho_base), s) in enumerate(zip(outputs, (s12, s12, s3))):
             oracle = partial_trace(moved.joint, (register,)).matrix
-            assert np.abs(rho.matrix - s @ rho_base.matrix @ s.conj().T).max() <= 1e-12
+            dense.append(np.abs(rho.matrix - s @ rho_base.matrix @ s.conj().T).max())
+            assert dense[-1] <= 1e-12
             assert np.abs(rho.matrix - oracle).max() <= 1e-12
+        assert abs(covariance_deviation(psi, ket, [(n, m)]) - max(dense)) <= 1e-15
+
+    @pytest.mark.parametrize("output", (0, 1, 2))
+    def test_a_broken_output_is_caught(self, monkeypatch, output):
+        # mixing |0><0| into one output breaks covariance by exactly eps for
+        # every pair with n != 0, and by nothing for the identity shift
+        eps, dim = 1e-6, 5
+        exact = qid_network.distribute
+        ground = np.zeros((dim, dim), dtype=complex)
+        ground[0, 0] = 1.0
+
+        def broken(psi, program):
+            out = exact(psi, program)
+            rhos = [out.rho1, out.rho2, out.rho3]
+            mixed = (1 - eps) * rhos[output].matrix + eps * ground
+            rhos[output] = DensityOperator((dim,), mixed)
+            return qid_network.DistributorOutput(*rhos)
+
+        monkeypatch.setattr(qid_network, "distribute", broken)
+        rng = np.random.default_rng(11)
+        psi = haar_random_state((dim,), rng)
+        ket = haar_random_state((dim, dim), rng)
+        shifts = [(n, m) for n in range(dim) for m in range(dim)]
+        assert covariance_deviation(psi, ket, shifts) == pytest.approx(eps, rel=1e-9, abs=0)
+        assert covariance_check(psi, ket, 0, 0) == 0.0
+
+    def test_nan_deviation_is_not_dropped(self, monkeypatch):
+        # a NaN output for one pair makes the whole deviation NaN, wherever
+        # the pair sits among the shifts
+        exact = qid_network.distribute
+        psi = haar_random_state((3,), np.random.default_rng(12))
+        poisoned = PureState((3,), np.roll(psi.amplitudes, 1))
+
+        def nan_for_one_input(state, program):
+            out = exact(state, program)
+            if np.array_equal(state.amplitudes, poisoned.amplitudes):
+                nan = DensityOperator._checked((3,), np.full((3, 3), np.nan + 0j))
+                return qid_network.DistributorOutput(out.rho1, out.rho2, nan)
+            return out
+
+        monkeypatch.setattr(qid_network, "distribute", nan_for_one_input)
+        program = cloner_program(3)
+        for shifts in ([(1, 0), (2, 1)], [(2, 1), (1, 0)]):
+            assert math.isnan(covariance_deviation(psi, program, shifts))
+        assert covariance_deviation(psi, program, []) == 0.0
 
     def test_clone_fidelity_invariant_under_shifts(self):
         dim = 3

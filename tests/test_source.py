@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qidsim").glob("*.py"))
@@ -48,3 +49,23 @@ def test_one_function_factorises_density_matrices():
         ]
     assert in_checker
     assert calls == in_checker
+
+
+def test_exports_are_defined_and_listed():
+    # every name in a module's __all__ exists there, and every name the
+    # package re-exports is in its module's __all__
+    listed = {}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"qidsim.{path.stem}")
+        if hasattr(module, "__all__"):
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.name
+            listed[path.stem] = set(module.__all__)
+    init = ast.parse(SOURCES[0].with_name("__init__.py").read_text())
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1 and node.module in listed, node.module
+        unlisted = [a.name for a in node.names if a.name not in listed[node.module]]
+        assert unlisted == [], node.module
