@@ -35,6 +35,11 @@ KERNEL_NORM_HALF_NODES = 400
 # 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
 # squares it; 144 cosh 2 xi overflows past xi = ln(float max / 72) / 2 = 352.753
 XI_MAX = 352.75
+# largest --grid: a grid row holds O(grid) numbers, 72 MB peak RSS and 0.13 s
+# for two rows at 65536 points; --dump-wigner builds grid^2 arrays, 0.41 GB
+# and 15 s for one xi at 2048 points
+GRID_MAX = 65536
+DUMP_GRID_MAX = 2048
 
 
 def _fmt(value) -> str:
@@ -304,6 +309,10 @@ def _kernel_norm(which: int, xi: float) -> float:
 def cmd_cv(args) -> int:
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    cap = DUMP_GRID_MAX if args.dump_wigner else GRID_MAX
+    if args.grid > cap:
+        also = " with --dump-wigner" if args.dump_wigner else ""
+        raise ValueError(f"--grid must be at most {cap}{also}, got {args.grid}")
     try:
         xis = [float(tok) for tok in args.xi.split(",")]
     except ValueError:
@@ -314,6 +323,7 @@ def cmd_cv(args) -> int:
                 f"squeezing xi={xi} overflows the kernel-norm rule, which samples "
                 f"xi <= {XI_MAX}"
             )
+    vacuum = cv.GaussianState.vacuum()
     rows = []
     failed = None
     for xi in sorted(xis):
@@ -334,7 +344,7 @@ def cmd_cv(args) -> int:
             # the vacuum input is u(x) v(p) on the lattice; a 2-D grid is
             # sampled only to be convolved and written out
             lattice = cv.Lattice.centered(cv.suggested_half_width(xi), args.grid)
-            u, v = cv.GaussianState.vacuum().wigner_factors(lattice)
+            u, v = vacuum.wigner_factors(lattice)
             (row["F1"], mass1), (row["F2"], mass2) = cv.output_overlaps(
                 lattice, u, v, xi, alpha, beta
             )

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qidsim import cli, cv_gaussian, qid_network
-from qidsim.cli import XI_MAX, _exceeds, main
+from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _exceeds, main
 from qidsim.qudit_core import DensityOperator, Operator
 
 
@@ -337,6 +338,54 @@ class TestCv:
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
         assert calls == {"rfft2": forward, "irfft2": inverse}
 
+    def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
+        # a grid row is one rfft per axis and one forward and one inverse
+        # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
+        # takes none, so every call falls inside a grid row
+        calls = {"fft": 0, "ifft": 0, "rfft": 0}
+        per_row = []
+
+        def counted(name):
+            fft = getattr(cv_gaussian, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fft(*args, **kwargs)
+
+            return call
+
+        def row(*args, **kwargs):
+            before = sum(calls.values())
+            result = overlaps(*args, **kwargs)
+            per_row.append(sum(calls.values()) - before)
+            return result
+
+        for name in calls:
+            monkeypatch.setattr(cv_gaussian, name, counted(name))
+        overlaps = cv_gaussian.output_overlaps
+        monkeypatch.setattr(cv_gaussian, "output_overlaps", row)
+        code, out, _ = run_cli(capsys, "cv", "--xi", "0.5,1,4", "--grid", "256")
+        assert code == 0
+        assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
+        assert len(per_row) == 2 and max(per_row) <= 4
+        assert sum(calls.values()) == sum(per_row)
+
+    def test_warm_op_peak_memory(self, capsys):
+        # the chirp-z sums of both outputs share one in-place buffer; a
+        # second buffer per transform, or numpy buffering a 3-D strided
+        # product, lifts the peak past the bound
+        argv = ["cv", "--xi", "0.5,3", "--grid", "512"]
+        assert run_cli(capsys, *argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 300_000
+
     def test_kernel_norm_gate_catches_a_wide_kernel(self, monkeypatch, capsys):
         # a kernel 1% too wide integrates to 1.01 times its weight
         exact = cv_gaussian.kernel_eval
@@ -546,6 +595,31 @@ class TestBadInput:
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and "displacement" in err
+
+    @pytest.mark.parametrize(
+        "extra, cap", (([], GRID_MAX), (["--dump-wigner", "w"], DUMP_GRID_MAX))
+    )
+    def test_grid_above_its_cap(self, monkeypatch, tmp_path, capsys, extra, cap):
+        # the cap is checked before any grid is sampled: sampling raises
+        # here, so a missing check fails the test instead of allocating
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(cv_gaussian.GaussianState, "wigner_factors", sampled)
+        monkeypatch.setattr(cv_gaussian, "output_wigner", sampled)
+        monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+        for grid in (cap + 1, 100_000_000):
+            code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", str(grid), *extra)
+            assert (code, out) == (1, "")
+            also = " with --dump-wigner" if extra else ""
+            assert err == f"error: --grid must be at most {cap}{also}, got {grid}\n"
+        # the cap itself passes the check and reaches the sampling
+        with pytest.raises(Sampled):
+            main(["cv", "--xi", "0.5", "--grid", str(cap), *extra])
+        assert list(tmp_path.iterdir()) == []
 
     def test_unresolving_grid(self, capsys):
         # the rows are still written, but a grid that loses Riemann mass

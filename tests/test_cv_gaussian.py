@@ -755,6 +755,88 @@ class TestCosineSum:
         self.check(rows, cols, 7.3, seed=3)
 
 
+class TestBatchedCosineSum:
+    """One call over a leading batch axis, one theta per entry: each entry
+    against the dense cosine matrix, relative to its own
+    sum_ij |left[b, r, i]| |right[b, r, j]|."""
+
+    @pytest.mark.parametrize("rows, cols", ((37, 31), (433, 433), (451, 300)))
+    def test_each_entry_has_its_own_phase(self, rows, cols):
+        # test_large_phase's theta: the largest phase passes 10^3 rad
+        thetas = np.array([0.0, 3e-3, 2.5, 1.7e3 / ((rows - 1) * (cols - 1))])
+        rng = np.random.default_rng(4)
+        left = rng.standard_normal((thetas.size, 2, rows))
+        right = rng.standard_normal((thetas.size, 2, cols))
+        got = cv_gaussian._cosine_sum(left, right, thetas)
+        assert got.shape == (thetas.size, 2)
+        for b, theta in enumerate(thetas):
+            scale = np.abs(left[b]).sum(axis=1) * np.abs(right[b]).sum(axis=1)
+            want = cosine_sum_by_matrix(left[b], right[b], theta)
+            assert (np.abs(got[b] - want) / scale).max() < 1e-13
+
+    def test_batch_matches_one_call_per_entry(self):
+        # the shared buffer keeps the entries apart: a batch gives what one
+        # scalar-theta call per entry gives
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal((3, 2, 40)), rng.standard_normal((3, 2, 25))
+        thetas = np.array([0.3, 1e-2, 4.0])
+        got = cv_gaussian._cosine_sum(left, right, thetas)
+        for b, theta in enumerate(thetas):
+            want = cv_gaussian._cosine_sum(left[b], right[b], theta)
+            assert np.abs(got[b] - want).max() < 1e-12 * np.abs(want).max()
+
+
+class TestKernelTable:
+    """The one (amp, var, twist) table every kernel quantity reads."""
+
+    XIS = (0.0, 0.5, 3.0, 177.6, 352.75)
+
+    @pytest.mark.parametrize("xi", XIS)
+    def test_output_two_is_output_one_swapped_and_stretched(self, xi):
+        table = cv_gaussian._kernel_table(xi)
+        assert table.shape == (2, 3, 3)
+        (amp, var, twist) = table[0, [1, 0, 2]].T
+        assert np.array_equal(table[1], np.stack([2 * amp, var / 2, 2 * twist], axis=-1))
+
+    def test_read_only_and_cached(self):
+        table = cv_gaussian._kernel_table(0.5)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+        assert cv_gaussian._kernel_table(0.5) is table
+
+    @pytest.mark.parametrize("xi", XIS)
+    def test_kernel_form_returns_its_rows(self, xi):
+        table = cv_gaussian._kernel_table(xi)
+        for output in (1, 2):
+            for which in (1, 2, 3):
+                form = cv_gaussian._kernel_form(which, xi, output)
+                assert all(type(x) is float for x in form)
+                assert form == tuple(table[output - 1, which - 1])
+
+    @pytest.mark.parametrize(
+        "which, xi, output, match",
+        (
+            (0, 0.5, 1, "kernel selector"),
+            (4, 0.5, 2, "kernel selector"),
+            (1, 0.5, 0, "output must be 1 or 2"),
+            (3, 0.5, 3, "output must be 1 or 2"),
+            (1, -0.1, 1, "squeezing"),
+            (2, math.nan, 1, "squeezing"),
+            (3, math.inf, 2, "squeezing"),
+        ),
+    )
+    def test_kernel_form_rejects_bad_arguments(self, which, xi, output, match):
+        with pytest.raises(ValueError, match=match):
+            cv_gaussian._kernel_form(which, xi, output)
+
+    @pytest.mark.parametrize("output", (0, 3))
+    def test_asymptotic_fidelity_rejects_a_bad_output(self, output):
+        # output 0 would otherwise read output 2's row
+        with pytest.raises(ValueError, match="output must be 1 or 2"):
+            cv_fidelity_asymptotic(0.5, 0.6, 0.5, output=output)
+
+
 class TestNextFastLen:
     @pytest.mark.parametrize("real", (True, False))
     def test_matches_scipy(self, real):

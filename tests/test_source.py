@@ -69,3 +69,36 @@ def test_exports_are_defined_and_listed():
         assert node.level == 1 and node.module in listed, node.module
         unlisted = [a.name for a in node.names if a.name not in listed[node.module]]
         assert unlisted == [], node.module
+
+
+def _builds_kernel_forms(node: ast.AST) -> bool:
+    """A call of _ab(...) or of math.cosh(2 * xi)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "_ab"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "cosh"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "math"
+        and ast.unparse(node.args[0]) == "2 * xi"
+    )
+
+
+def test_one_function_builds_kernel_forms():
+    # every kernel quantity reads the (amp, var, twist) rows of
+    # _kernel_table; a second place that works out e^{+-2 xi} or cosh 2 xi
+    # would be a second table that can drift from it.  The squeezed program
+    # states are the other users of those factors: they are the program the
+    # kernels come from, not kernel forms
+    path = SOURCES[0].with_name("cv_gaussian.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    builders = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and any(map(_builds_kernel_forms, ast.walk(func)))
+    }
+    programs = {"regularized_x0", "regularized_p0", "regularized_epr", "epr_wavefunction"}
+    assert builders == {"_kernel_table"} | programs
