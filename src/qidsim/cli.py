@@ -138,7 +138,7 @@ def _parse_dims(args) -> list[int]:
         if not dims:
             raise _bad_option("--dim-range", args.dim_range, "A:B with integers A <= B")
         return dims
-    return [args.dim]
+    return [2 if args.dim is None else args.dim]
 
 
 def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState, int | None]:
@@ -230,9 +230,8 @@ def cmd_distribute(args) -> int:
     sim = net.distribute(psi, program)
     # the simulated outputs are validated already, so the closed form is
     # compared by its two scalars per output, with no reference operator
-    deviation = _closed_form_deviation(
-        (sim.rho1, sim.rho2, sim.rho3), psi, net._closed_form_coefficients(dim, args.alpha, beta)
-    )
+    coefficients = net._closed_form_coefficients(dim, args.alpha, beta)
+    deviation = _closed_form_deviation((sim.rho1, sim.rho2, sim.rho3), psi, coefficients)
     psi_conj = PureState((dim,), psi.amplitudes.conj())
     doc = {
         "dim": dim,
@@ -242,9 +241,10 @@ def cmd_distribute(args) -> int:
         "rho1_fidelity": fidelity(sim.rho1, psi),
         "rho2_fidelity": fidelity(sim.rho2, psi),
         "rho3_transpose_fidelity": fidelity(sim.rho3, psi_conj),
+        # a pure input's fidelity with s rho_in + e 1 is s + e
         "predicted": {
-            "rho1_fidelity": 1.0 - beta**2 * (1.0 - 1.0 / dim),
-            "rho2_fidelity": 1.0 - args.alpha**2 * (1.0 - 1.0 / dim),
+            "rho1_fidelity": sum(coefficients[0]),
+            "rho2_fidelity": sum(coefficients[1]),
         },
         "max_deviation": deviation,
     }
@@ -434,8 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = {"choices": ("csv", "json"), "default": "csv"}
 
     p = sub.add_parser("clone", help="scaling factor and fidelity of the universal cloner per N")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--dim-range", default=None, metavar="A:B")
+    # argparse lets an option through a mutually exclusive group when its
+    # value is its default object, and int("2") is the cached 2: with
+    # default=2, "--dim 2 --dim-range 3:4" would drop --dim unnoticed
+    dims = p.add_mutually_exclusive_group()
+    dims.add_argument("--dim", type=int, default=None, help="one dimension (default 2)")
+    dims.add_argument("--dim-range", default=None, metavar="A:B")
     p.add_argument("--seed", **seed)
     p.add_argument("--out", **out)
     p.add_argument("--format", **fmt)

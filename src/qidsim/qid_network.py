@@ -24,17 +24,35 @@ and its reductions are
     rho3[c, c'] = sum_n rho[n, n + d] * K_d(c - n),   d = c - c',
         K_d(v) = sum_w C[w, v] * conj(C[w - d, v - 2d]).
 
-Outputs 1 and 2 are circular correlations along the cyclic diagonals of
-rho, done by FFT in O(N^2 log N) time; output 3's kernels K are entries of
-Gram products of sheared columns of C (N^3 multiply-adds in BLAS matrix
-products: one N x N product for odd N, one N x N/2 product per column
-parity for even N), and every output takes O(N^2) memory.
+Each output is a Weyl multiplier: it multiplies the input's Weyl
+characteristic function by a function of the program alone (for output 3,
+after a transposition).  In the x-basis the characteristic function is the
+Fourier transform along x of rho's cyclic diagonals D_delta(x) =
+rho[x, x + delta], and each output is
+
+    rho_out[x, x + delta] = IFFT_k[mu[k, delta] * FFT_x[D_delta](k)](x),
+
+conjugated for output 3, with the multipliers
+
+    mu1[k, delta] = sum_j G_j(-delta) * exp(2 pi i j k / N),
+    mu2[k, delta] = sum_j H_j(-delta) * exp(2 pi i j k / N),
+    mu3[k, delta] = sum_v K_delta(v + delta) * exp(-2 pi i k v / N).
+
+Output 3's form uses that rho is Hermitian and that conj(K_{-d}(v)) =
+K_d(v + 2d).  So all three outputs take one pass of O(N^2 log N) FFTs on
+one work buffer.  Output 3's kernels K are entries of Gram products of
+sheared columns of C (N^3 multiply-adds in BLAS matrix products: one N x N
+product for odd N, one N x N/2 product per column parity for even N), and
+every output takes O(N^2) memory.
 
 Outputs 1 and 2 are Weyl channels, rho -> sum_ab p_ab W_ab rho W_ab^dag over
-the shifts W_ab = X^a Z^b, with weights p = |S|^2 / N from the same FFT
-(the Heisenberg-Weyl cloners of Cerf, J. Mod. Opt. 47, 187 (2000)).  So
-weights that are nonnegative and sum to 1 certify those outputs positive,
-and only output 3, whose map has no such certificate, is factorised.
+the shifts W_ab = X^a Z^b, with weights p = |S|^2 / N whose Fourier
+transforms are mu1 and mu2; output 3 is rho -> Psi(rho^T) with
+Psi(X^a Z^b) = w^{ab} K^_a(b) X^a Z^b, w = exp(2 pi i / N) (the
+Heisenberg-Weyl cloners of Cerf, J. Mod. Opt. 47, 187 (2000)).  So
+weights that are nonnegative and sum to 1 certify outputs 1 and 2
+positive, and only output 3, whose map has no such certificate, is
+factorised.
 
 The joint state is built on demand, as an oracle, by the x-basis index
 permutation of :func:`build_qid_unitary` (never as an N^3 x N^3 matrix);
@@ -272,21 +290,22 @@ def _program_ket(ket: PureState) -> PureState:
 class _ChannelTables(NamedTuple):
     """Read-only ``take`` indices that depend on N alone.
 
-    ``rho_diag`` reads conj(psi); ``diagonals`` reads the flattened program
-    matrix C and ``reversed_rows`` its rows; ``shear`` reads the flattened C
-    and ``gram`` the flattened Gram products; ``back`` and ``back_3`` read
-    one flattened plane of :func:`distribute`'s work buffer.  ``columns`` is
-    the width of the Gram products' right factor.
+    ``rho_diag`` reads conj(psi) into rho's diagonals and ``diagonals`` the
+    flattened program matrix C into output 1's rows; ``shear`` reads the
+    flattened C and ``gram`` the flattened Gram products into output 3's
+    kernels K, and ``third`` reads the flattened K into output 3's
+    multiplier.  ``back`` reads one flattened plane of :func:`distribute`'s
+    work buffer, stored [x, delta], back into a matrix.  ``columns`` is the
+    width of the Gram products' right factor.
     """
 
     rho_diag: np.ndarray
     diagonals: np.ndarray
-    reversed_rows: np.ndarray
     shear: np.ndarray
     columns: int
     gram: np.ndarray
+    third: np.ndarray
     back: np.ndarray
-    back_3: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
@@ -323,14 +342,11 @@ def _channel_tables(dim: int) -> _ChannelTables:
         # rho[x, x + delta] = psi[x] * conj(psi[x + delta]): rho's diagonal -delta
         rho_diag=(x + delta) % d,
         diagonals=x * d + (x - delta) % d,  # C[x, x - j]
-        reversed_rows=-x % d,  # C[-j, u]
         shear=((delta + offset) % d) * d + col,
         columns=columns,
         gram=gram,
-        # back from diagonals, see distribute: out[a, b] reads diagonal b - a
-        # of a plane stored [a, diagonal], or a - b of one stored [diagonal, a]
-        back=delta * d + (x - delta) % d,
-        back_3=((delta - x) % d) * d + delta,
+        third=x * d + (delta + x) % d,  # K[delta, v + delta] at [v, delta]
+        back=delta * d + (x - delta) % d,  # out[a, b] reads [a, b - a]
     )
     for table in tables:
         if isinstance(table, np.ndarray):
@@ -380,6 +396,12 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     the module docstring.  The joint state is built only when
     ``.joint`` is read.
 
+    The three outputs are Weyl multipliers, applied in one pass: their
+    multipliers and the transform of rho's diagonals are four slots of one
+    (4, N, N) work buffer, one inverse FFT takes all three products, and
+    each output is gathered into the slot before it.  The returned
+    operators are views of that buffer.
+
     Outputs 1 and 2 are certified positive by their Weyl weights: each is
     sum_ab p_ab W_ab rho W_ab^dag over the shifts W_ab = X^a Z^b, so weights
     that are nonnegative and sum to 1 make it a density matrix, and no
@@ -396,22 +418,32 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
         raise ValueError(f"dimension mismatch: input {d}, program {ket.dims[0]}")
     tables = _channel_tables(d)
     coeffs = ket.amplitudes.reshape(d, d)
-    # One work buffer, transformed in place.  Slot 0 holds rho's diagonals
-    # in reversed order, rho[x, x + delta], and slots 1 and 2 the rows whose
-    # circular autocorrelations are G_j (the diagonals C[x, x - j]) and H_j
-    # (the rows C[-j, u]); one FFT along x takes all three.
-    buf = np.empty((3, d, d), dtype=complex)
+    # Output 3's kernels come first, so that their Gram temporaries are
+    # freed before the work buffer is allocated.
+    kernels = _third_output_kernels(coeffs)
+    # One work buffer of four slots, transformed in place.  Slot 3 holds
+    # output 3's multiplier sum_v K_delta(v + delta) * exp(-2 pi i k v / N),
+    # stored [k, delta].
+    buf = np.empty((4, d, d), dtype=complex)
+    np.take(kernels, tables.third, out=buf[3], mode="clip")
+    del kernels
+    np.fft.fft(buf[3], axis=0, out=buf[3])
+    # Slot 0 holds rho's diagonals D[delta, x] = rho[x, x + delta], and
+    # slots 1 and 2 the rows whose circular autocorrelations are G_j (the
+    # diagonals C[x, x - j]) and H_j (the rows C[-j, u]); one FFT along x
+    # takes all three.
     np.take(psi.amplitudes.conj(), tables.rho_diag, out=buf[0], mode="clip")
     buf[0] *= psi.amplitudes
     np.take(coeffs, tables.diagonals, out=buf[1], mode="clip")
-    np.take(coeffs, tables.reversed_rows, axis=0, out=buf[2], mode="clip")
-    np.fft.fft(buf, axis=2, out=buf)
+    buf[2, 0] = coeffs[0]
+    buf[2, 1:] = coeffs[:0:-1]
+    np.fft.fft(buf[:3], axis=2, out=buf[:3])
     # |S|^2 / N are the weights of the shift operators in outputs 1 and 2;
     # as a probability distribution they certify both outputs positive.
-    # An inverse 2-D FFT, over j and the frequency, gives the transfer
-    # functions sum_j R_j(-delta) * exp(2 pi i j k / N) for R = G, H, stored
+    # An inverse 2-D FFT, over j and the frequency, turns them into the
+    # multipliers sum_j R_j(-delta) * exp(2 pi i j k / N), R = G, H, stored
     # [k, delta].
-    power = buf[1:]
+    power = buf[1:3]
     re, im = power.real, power.imag
     np.square(re, out=re)
     np.square(im, out=im)
@@ -419,22 +451,19 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     im.fill(0.0)
     _check_weyl_weights(re)
     np.fft.ifftn(power, axes=(1, 2), norm="ortho", out=power)
-    # Output 3's kernels K_delta, transformed along v.
-    kernels = _third_output_kernels(coeffs)
-    np.fft.fft(kernels, axis=1, out=kernels)
-    # Outputs 1 and 2 correlate rho's diagonal delta with R_.(delta); output 3
-    # convolves K_delta with rho[n, n + delta], which is slot 0's row delta.
-    power *= buf[0].T
-    buf[0] *= kernels
-    np.fft.ifft(power, axis=1, out=power)
-    np.fft.ifft(buf[0], axis=1, out=buf[0])
-    out = np.empty_like(buf)
-    np.take(power.reshape(2, d * d), tables.back, axis=1, out=out[:2], mode="clip")
-    np.take(buf[0], tables.back_3, out=out[2], mode="clip")
+    # Every multiplier, stored [k, delta], meets slot 0's transform of
+    # diagonal delta at frequency k; the inverse FFT over k leaves each
+    # output's diagonals stored [x, delta], gathered back into the slot
+    # before it.  Output 3 comes out conjugated.
+    buf[1:] *= buf[0].T
+    np.fft.ifft(buf[1:], axis=1, out=buf[1:])
+    for k in range(3):
+        np.take(buf[k + 1], tables.back, out=buf[k], mode="clip")
+    np.conjugate(buf[2], out=buf[2])
     # finite, Hermitian and unit trace all three, and output 3 factorised
-    _check_densities(out, positive=(2,), names=("output 1", "output 2", "output 3"))
+    _check_densities(buf[:3], positive=(2,), names=("output 1", "output 2", "output 3"))
     return DistributorOutput(
-        *(DensityOperator._checked((d,), rho) for rho in out), inputs=(psi, ket)
+        *(DensityOperator._checked((d,), rho) for rho in buf[:3]), inputs=(psi, ket)
     )
 
 

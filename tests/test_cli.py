@@ -101,6 +101,19 @@ class TestDistribute:
         assert abs(doc["rho1_fidelity"] - 5 / 6) < 1e-10
         assert abs(doc["rho2_fidelity"] - 5 / 6) < 1e-10
 
+    @pytest.mark.parametrize("dim, alpha", ((2, 0.5), (3, 1.0), (5, 0.0), (7, 0.3), (64, 0.8)))
+    def test_predicted_fidelities_are_the_closed_form_scalars(self, capsys, dim, alpha):
+        # a pure input's fidelity with s_k rho_in + e_k 1 is s_k + e_k
+        code, out, _ = run_cli(capsys, "distribute", "--dim", str(dim), "--alpha", repr(alpha))
+        assert code == 0
+        predicted = json.loads(out)["predicted"]
+        beta = qid_network.solve_beta(dim, alpha)
+        coefficients = qid_network._closed_form_coefficients(dim, alpha, beta)
+        former = (1.0 - beta**2 * (1.0 - 1.0 / dim), 1.0 - alpha**2 * (1.0 - 1.0 / dim))
+        for output, (s, e) in enumerate(coefficients[:2], 1):
+            assert predicted[f"rho{output}_fidelity"] == s + e
+            assert abs(s + e - former[output - 1]) <= 1e-15
+
     def test_explicit_amplitudes(self, capsys):
         code, out, _ = run_cli(
             capsys, "distribute", "--dim", "2", "--alpha", "0.5", "--input", "1,0"
@@ -735,13 +748,16 @@ class TestBadInput:
             ("distribute", "--dim", "x", "--alpha", "0.5"),
             ("distribute", "--dim", "3"),
             ("cv", "--format", "xml"),
+            ("clone", "--dim", "5", "--dim-range", "2:3"),
+            ("clone", "--dim", "2", "--dim-range", "3:4"),
             ("teleport",),
             (),
         ),
     )
     def test_argparse_rejections_take_the_error_line(self, capsys, argv):
         # options a command does not read, unparsable values, missing
-        # arguments and unknown commands leave like every other bad input
+        # arguments, options that exclude each other and unknown commands
+        # leave like every other bad input
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

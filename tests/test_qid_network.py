@@ -454,6 +454,29 @@ class TestOutputCertificates:
         with pytest.raises(ValueError, match="^output 3 has negative eigenvalue -5.000e-01$"):
             distribute(basis, cloner_program(4))
 
+    @pytest.mark.parametrize("dim", (4, 5, 64))
+    def test_distribute_takes_four_ffts(self, monkeypatch, dim):
+        # one FFT of output 3's kernels, one of rho's diagonals and the
+        # program rows, one 2-D inverse FFT of the Weyl weights, and one
+        # inverse FFT that applies all three outputs' multipliers
+        rng = np.random.default_rng(dim)
+        psi, ket = haar_random_state((dim,), rng), haar_random_state((dim, dim), rng)
+        calls = []
+
+        def counted(name):
+            fft = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+
+            return call
+
+        for name in ("fft", "ifft", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        distribute(psi, ket)
+        assert sorted(calls) == ["fft", "fft", "ifft", "ifftn"]
+
     @pytest.mark.parametrize("dim", (*range(2, 9), 64))
     def test_weights_certify_outputs_1_and_2(self, dim):
         # skipping the factorisation of outputs 1 and 2 drops no failure that
