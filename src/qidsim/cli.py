@@ -3,10 +3,12 @@
 Subcommands reproduce the library's headline numbers (cloning fidelities,
 covariance deviations, kernel normalisations, the coherent-state cloner)
 and emit machine-readable CSV or JSON.  Identical configuration and seed
-produce byte-identical output: all floats are rendered with 17 significant
-digits and random inputs are drawn from a seeded generator recorded in the
-output.  Every command exits nonzero when an internal consistency check
-fails, so the CLI doubles as a CI gate.
+produce byte-identical output: CSV floats are rendered with 17 significant
+digits, JSON floats as their shortest round-trip repr, and random inputs are
+drawn from a seeded generator recorded in the output.  Every command ends in
+``_finish``, which writes its output and then exits nonzero, with one
+``error:`` line, when an internal consistency check fails, so the CLI doubles
+as a CI gate.
 """
 
 from __future__ import annotations
@@ -50,21 +52,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_ready(obj):
-    """Round floats through 17 significant digits for stable serialisation."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _json_ready(obj.item())
-    return obj
-
-
 def _resolve_out(path: str | None):
     if path is None:
         return None
@@ -86,42 +73,47 @@ def _write_file(path: Path, write) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from None
 
 
-def _write(text: str, args) -> None:
-    """Send ``text`` to ``--out`` if given, else to stdout."""
-    out = _resolve_out(args.out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(out, lambda fh: fh.write(text))
-
-
-def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
-    if args.format == "json":
-        _emit_doc({"rows": rows}, args)
-        return
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
-    _write("\n".join(lines) + "\n", args)
-
-
-def _emit_doc(doc: dict, args) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-    _write(json.dumps(_json_ready(doc), indent=2) + "\n", args)
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
 
 
+def _finish(args, payload, gates, columns=None) -> int:
+    """Write a command's output, then check its gates: every command ends here.
+
+    With ``columns``, ``payload`` is a list of rows, written as CSV or, with
+    ``--format json``, as a JSON document of rows; without, it is one JSON
+    document.  The output goes to ``--out`` if given, else to stdout, and is
+    written whether or not a gate fails.  ``gates`` are ``(check, value,
+    tolerance)`` triples, in the order they are to be named; a value passes
+    only when ``value <= tolerance``, so NaN fails.  The first failing gate
+    ends in one ``error:`` line naming its check, value and tolerance, and
+    exit code 1.
+    """
+    if columns is not None and args.format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row.get(c)) for c in columns) for row in payload]
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {"rows": payload} if columns is not None else payload
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
+        # numpy arrays and integer scalars become the lists and numbers they
+        # hold; floats (numpy's too) are written as their shortest repr
+        text = json.dumps(doc, indent=2, default=lambda obj: obj.tolist()) + "\n"
+    out = _resolve_out(args.out)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _write_file(out, lambda fh: fh.write(text))
+    for check, value, tol in gates:
+        if not (value <= tol):
+            return _fail(f"{check} {value:.3e} (tolerance {tol:g})")
+    return 0
+
+
 def _worst(deviations) -> float:
     """Largest deviation, NaN if any is NaN (the built-in max can drop it)."""
     return float(np.max(list(deviations), initial=0.0))
-
-
-def _exceeds(value: float, tol: float) -> bool:
-    """Gate test: true when ``value`` is above ``tol`` or is NaN."""
-    return not (value <= tol)
 
 
 def _bad_option(option: str, value: str, expected: str) -> ValueError:
@@ -196,11 +188,10 @@ def cmd_clone(args) -> int:
             abs(row["F_simulated"] - row["F_closed"]),
         ]
         rows.append(row)
-    _emit_rows(rows, ["N", "s_closed", "s_simulated", "F_closed", "F_simulated"], args)
-    worst = _worst(deviations)
-    if _exceeds(worst, 1e-10):
-        return _fail(f"simulated and closed-form columns disagree by {worst:.3e}")
-    return 0
+    gate = ("simulated and closed-form columns disagree by", _worst(deviations), 1e-10)
+    return _finish(
+        args, rows, [gate], ["N", "s_closed", "s_simulated", "F_closed", "F_simulated"]
+    )
 
 
 def _closed_form_deviation(outputs, psi: PureState, coefficients) -> float:
@@ -248,10 +239,7 @@ def cmd_distribute(args) -> int:
         },
         "max_deviation": deviation,
     }
-    _emit_doc(doc, args)
-    if _exceeds(deviation, 1e-10):
-        return _fail(f"simulation deviates from the closed form by {deviation:.3e}")
-    return 0
+    return _finish(args, doc, [("simulation deviates from the closed form by", deviation, 1e-10)])
 
 
 def cmd_covariance(args) -> int:
@@ -269,10 +257,8 @@ def cmd_covariance(args) -> int:
         program = net.program_state(dim, *_random_alpha_beta(dim, rng))
         deviations.append(net.covariance_deviation(psi, program, shifts))
     worst = _worst(deviations)
-    _emit_doc({"dim": dim, "trials": args.trials, "seed": args.seed, "max_deviation": worst}, args)
-    if _exceeds(worst, 1e-8):
-        return _fail(f"covariance deviation {worst:.3e} exceeds 1e-8")
-    return 0
+    doc = {"dim": dim, "trials": args.trials, "seed": args.seed, "max_deviation": worst}
+    return _finish(args, doc, [("covariance deviation", worst, 1e-8)])
 
 
 def _random_alpha_beta(dim: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -318,14 +304,16 @@ def cmd_cv(args) -> int:
     except ValueError:
         raise _bad_option("--xi", args.xi, "comma-separated numbers") from None
     for xi in xis:
-        if math.isfinite(xi) and xi > XI_MAX:
+        cv._as_xi(xi)
+        if xi > XI_MAX:
             raise ValueError(
                 f"squeezing xi={xi} overflows the kernel-norm rule, which samples "
                 f"xi <= {XI_MAX}"
             )
     vacuum = cv.GaussianState.vacuum()
-    rows = []
-    failed = None
+    # gates in row order and, within a row, the kernel residual, then the
+    # grid's mass, then its fidelity gap: the first that fails is named
+    rows, gates = [], []
     for xi in sorted(xis):
         alpha = args.alpha
         beta = cv.solve_cv_beta(alpha, xi)
@@ -334,11 +322,8 @@ def cmd_cv(args) -> int:
             val = _kernel_norm(which, xi)
             row[f"k{which}_norm"] = val
             row[f"k{which}_residual"] = val - cv.kernel_norm_expected(which, xi)
-        # the first failing row names the failure; within a row the kernel
-        # residual comes first, then the grid's mass, then its fidelity gap
         resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))
-        if not failed and _exceeds(resid, 1e-6):
-            failed = f"kernel normalisation residual {resid:.3e} at xi={xi}"
+        gates.append((f"kernel normalisation residual at xi={xi} is", resid, 1e-6))
         closed = [cv.cv_fidelity_asymptotic(xi, alpha, beta, output=k) for k in (1, 2)]
         if xi <= cv.XI_GRID_MAX:
             # the vacuum input is u(x) v(p) on the lattice; a 2-D grid is
@@ -355,32 +340,26 @@ def cmd_cv(args) -> int:
             # a lattice too coarse or too small for the input or the
             # broadened outputs loses mass, and its fidelities are wrong
             mass_in = float(u.sum() * v.sum() * lattice.dx * lattice.dp / (2 * np.pi))
-            masses = [mass_in, mass1, mass2]
-            mass_error = _worst(abs(m - 1.0) for m in masses)
-            if not failed and _exceeds(mass_error, 1e-6):
-                failed = (
-                    f"--grid {args.grid} cannot resolve xi={xi}: Riemann mass of input, "
-                    f"output 1, output 2 = {', '.join(f'{m:.6g}' for m in masses)}, not 1"
-                )
+            mass_error = _worst(abs(m - 1.0) for m in (mass_in, mass1, mass2))
+            unresolved = f"--grid {args.grid} cannot resolve xi={xi}:"
+            gates.append(
+                (f"{unresolved} Riemann mass of the input or an output is off 1 by", mass_error, 1e-6)
+            )
             # the grid is cross-checked against the exact closed form: a step
             # near the input's width aliases the fidelity's Riemann sum
             gap = _worst(abs(f - c) for f, c in zip((row["F1"], row["F2"]), closed))
-            if not failed and _exceeds(gap, 1e-9):
-                failed = (
-                    f"--grid {args.grid} cannot resolve xi={xi}: grid fidelities are "
-                    f"{gap:.3e} from the closed form (tolerance 1e-9)"
-                )
+            gates.append((f"{unresolved} grid fidelities differ from the closed form by", gap, 1e-9))
         else:
             row["F1"], row["F2"] = closed
             row["method"] = "asymptotic"
         rows.append(row)
-    _emit_rows(
+    return _finish(
+        args,
         rows,
+        gates,
         ["xi", "alpha", "beta", "k1_norm", "k2_norm", "k3_norm",
          "k1_residual", "k2_residual", "k3_residual", "F1", "F2", "method"],
-        args,
     )
-    return _fail(failed) if failed else 0
 
 
 def cmd_coherent_clone(args) -> int:
@@ -401,15 +380,17 @@ def cmd_coherent_clone(args) -> int:
         "output_covariances": [out1.cov, out2.cov, out3.cov],
         "output_means": [out1.mean, out2.mean, out3.mean],
     }
-    _emit_doc(doc, args)
-    if _exceeds(abs(f_clone1 - 2.0 / 3.0), 1e-9) or _exceeds(abs(f_clone2 - 2.0 / 3.0), 1e-9):
-        return _fail(f"clone fidelity {f_clone1!r} differs from 2/3")
-    if _exceeds(abs(f_anti - 0.125), 1e-9):
-        return _fail(
-            f"anticlone fidelity {f_anti!r} differs from the 1/8 target "
-            "(this pipeline yields exactly 1/2; see the test suite)"
-        )
-    return 0
+    gates = [
+        ("clone 1 fidelity differs from 2/3 by", abs(f_clone1 - 2.0 / 3.0), 1e-9),
+        ("clone 2 fidelity differs from 2/3 by", abs(f_clone2 - 2.0 / 3.0), 1e-9),
+        (
+            "anticlone fidelity, exactly 1/2 in this pipeline (see the test suite), "
+            "differs from the 1/8 target by",
+            abs(f_anti - 0.125),
+            1e-9,
+        ),
+    ]
+    return _finish(args, doc, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         if vars(args).get("seed", 0) < 0:
             raise _bad_option("--seed", str(args.seed), "a non-negative integer")
         return args.func(args)
-    except (ValueError, cv.GridResolutionError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     except OverflowError as exc:
         return _fail(f"numeric overflow: {exc}")

@@ -235,7 +235,7 @@ class WignerGrid(Lattice):
             "p_max": self.p_max,
             "nx": self.n_x,
             "np": self.n_p,
-            "values": [float(f"{v:.17g}") for v in self.values.ravel()],
+            "values": self.values.ravel().tolist(),
         }
         json.dump(doc, stream)
 

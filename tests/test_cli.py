@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qidsim import cli, cv_gaussian, qid_network
-from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _exceeds, main
+from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _finish, main
 from qidsim.qudit_core import DensityOperator, Operator
 
 
@@ -425,7 +426,7 @@ class TestCv:
         monkeypatch.setattr(cv_gaussian, "kernel_eval", nan_at_peak)
         code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", "128")
         assert code == 1
-        assert err == "error: kernel normalisation residual nan at xi=0.5\n"
+        assert err == "error: kernel normalisation residual at xi=0.5 is nan (tolerance 1e-06)\n"
         (row,) = parse_csv(out)
         assert row["k3_norm"] == "nan"
 
@@ -492,6 +493,23 @@ class TestCoherentClone:
         assert abs(doc["clone_fidelity"] - 2 / 3) < 1e-12
         assert abs(doc["anticlone_fidelity"] - 0.5) < 1e-12
         assert "anticlone" in err
+
+    def test_names_the_clone_that_missed(self, monkeypatch, capsys):
+        # only clone 2's fidelity is off 2/3; the error line names clone 2
+        # and its distance from 2/3, not clone 1's fidelity
+        exact, calls = cv_gaussian.gaussian_fidelity, []
+
+        def second_off(state, target):
+            calls.append(state)
+            return exact(state, target) + (0.01 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(cv_gaussian, "gaussian_fidelity", second_off)
+        code, out, err = run_cli(capsys, "coherent-clone")
+        assert code == 1
+        doc = json.loads(out)
+        assert abs(doc["clone_fidelity"] - 2 / 3) < 1e-12
+        assert abs(doc["clone2_fidelity"] - 2 / 3 - 0.01) < 1e-12
+        assert err == "error: clone 2 fidelity differs from 2/3 by 1.000e-02 (tolerance 1e-09)\n"
 
     def test_displacement_invariance(self, capsys):
         _, out_zero, _ = run_cli(capsys, "coherent-clone")
@@ -588,6 +606,17 @@ class TestBadInput:
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and "squeezing" in err
+
+    @pytest.mark.parametrize("xis", ("0.5,nan", "0.5,inf", "0.5,-1"))
+    def test_bad_squeezing_writes_nothing(self, tmp_path, monkeypatch, capsys, xis):
+        # every xi is checked before the first row: a grid-safe xi before the
+        # bad one dumps no Wigner grid and prints no row
+        monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, "cv", "--xi", xis, "--grid", "64", "--dump-wigner", "w")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: squeezing must be finite and nonnegative")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_squeezing(self, capsys):
         code, out, err = run_cli(capsys, "cv", "--xi", "400")
@@ -763,11 +792,60 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_gates_fail_on_nan(self):
-        assert _exceeds(math.nan, 1e-9)
-        assert _exceeds(math.inf, 1e-9)
-        assert _exceeds(1e-8, 1e-9)
-        assert not _exceeds(1e-10, 1e-9)
+
+
+class TestFinish:
+    """Every command ends in _finish: write the payload, then check its gates."""
+
+    @staticmethod
+    def finish(capsys, gates, **options):
+        args = argparse.Namespace(command="covariance", out=None, **options)
+        code = _finish(args, {"max_deviation": 0.25}, gates)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_nan_inf_and_excess_fail_in_one_line(self, capsys):
+        for value, shown in ((math.nan, "nan"), (math.inf, "inf"), (1e-8, "1.000e-08")):
+            code, out, err = self.finish(capsys, [("covariance deviation", value, 1e-9)])
+            assert code == 1
+            assert json.loads(out)["max_deviation"] == 0.25
+            assert err == f"error: covariance deviation {shown} (tolerance 1e-09)\n"
+
+    def test_values_at_or_below_tolerance_pass(self, capsys):
+        for value in (1e-9, 1e-10, 0.0, -math.inf):
+            code, out, err = self.finish(capsys, [("covariance deviation", value, 1e-9)])
+            assert (code, err) == (0, "")
+            assert json.loads(out)["command"] == "covariance"
+
+    def test_first_failing_gate_is_named(self, capsys):
+        gates = [("first check", 0.0, 1e-9), ("second check", 2.0, 1.0), ("third check", 3.0, 1.0)]
+        code, _, err = self.finish(capsys, gates)
+        assert code == 1
+        assert err == "error: second check 2.000e+00 (tolerance 1)\n"
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_failing_rows_are_written_to_out(self, tmp_path, capsys, fmt):
+        path = tmp_path / "rows"
+        args = argparse.Namespace(command="cv", out=str(path), format=fmt)
+        rows = [{"xi": 0.5, "F1": math.nan}, {"xi": 1.0, "F1": np.float64(0.5)}]
+        code = _finish(args, rows, [("F1", math.nan, 1.0)], ["xi", "F1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: F1 nan (tolerance 1)\n"
+        if fmt == "csv":
+            assert path.read_text() == "xi,F1\n0.5,nan\n1,0.5\n"
+        else:
+            doc = json.loads(path.read_text())
+            assert doc["rows"][1] == {"xi": 1.0, "F1": 0.5}
+            assert math.isnan(doc["rows"][0]["F1"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(), st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 5e-324))))
+def test_json_floats_need_no_rounding(x):
+    # json.dumps writes a float's shortest round-trip repr, so rounding it
+    # through 17 significant digits first would change no byte of any output
+    assert json.dumps(x) == json.dumps(float(f"{x:.17g}"))
 
 
 @pytest.mark.parametrize(

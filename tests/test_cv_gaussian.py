@@ -926,6 +926,22 @@ class TestWignerGrid:
         assert doc["nx"] == 5 and doc["np"] == 5
         assert abs(doc["values"][12] - grid.values[2, 2]) < 1e-15
 
+    def test_json_values_keep_their_rounded_bytes(self):
+        # tolist() writes the bytes that rounding every value through 17
+        # significant digits wrote, signed zero, subnormals and NaN included
+        import io
+        import json
+
+        values = np.array([[-0.0, 5e-324, 1e308], [math.nan, -1.7976931348623157e308, 0.1]])
+        grid = WignerGrid(-1.0, 1.0, -2.0, 2.0, 2, 3, values)
+        written = io.StringIO()
+        grid.to_json(written)
+        rounded = {
+            "x_min": -1.0, "x_max": 1.0, "p_min": -2.0, "p_max": 2.0, "nx": 2, "np": 3,
+            "values": [float(f"{v:.17g}") for v in values.ravel()],
+        }
+        assert written.getvalue() == json.dumps(rounded)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WignerGrid(0.0, 0.0, -1.0, 1.0, 4, 4, np.zeros((4, 4)))

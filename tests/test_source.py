@@ -145,3 +145,34 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.name, name) for name in imported - used}
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """A call of the plain name ``name``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    )
+
+
+def test_every_command_ends_in_one_finish():
+    # every cmd_* returns _finish(...) and nothing else, and only _finish
+    # and main's error handlers call _fail: a gate checked beside _finish
+    # would be a second ending that can drift from it
+    path = SOURCES[0].with_name("cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    commands = [func for func in functions if func.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for func in commands:
+        assert isinstance(func.body[-1], ast.Return), func.name
+        returns = [node for node in ast.walk(func) if isinstance(node, ast.Return)]
+        assert all(_calls(node.value, "_finish") for node in returns), func.name
+    fails = [node.lineno for node in ast.walk(tree) if _calls(node, "_fail")]
+    callers = {
+        func.name: [node.lineno for node in ast.walk(func) if _calls(node, "_fail")]
+        for func in functions
+    }
+    assert callers["_finish"] and callers["main"]
+    assert sorted(callers["_finish"] + callers["main"]) == sorted(fails)
