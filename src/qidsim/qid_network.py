@@ -39,11 +39,12 @@ conjugated for output 3, with the multipliers
     mu3[k, delta] = sum_v K_delta(v + delta) * exp(-2 pi i k v / N).
 
 Output 3's form uses that rho is Hermitian and that conj(K_{-d}(v)) =
-K_d(v + 2d).  So all three outputs take one pass of O(N^2 log N) FFTs on
-one work buffer.  Output 3's kernels K are entries of Gram products of
-sheared columns of C (N^3 multiply-adds in BLAS matrix products: one N x N
-product for odd N, one N x N/2 product per column parity for even N), and
-every output takes O(N^2) memory.
+K_d(v + 2d).  So all three outputs take one pass of O(N^2 log N) FFTs
+inside the (3, N, N) stack that is returned and one (N, N) spare slot, the
+only N x N-sized arrays a call allocates.  Output 3's kernels K are
+entries of Gram products of sheared columns of C (N^3 multiply-adds in
+BLAS matrix products: one N x N product for odd N, one N x N/2 product
+per column parity for even N), built in those same two arrays.
 
 Outputs 1 and 2 are Weyl channels, rho -> sum_ab p_ab W_ab rho W_ab^dag over
 the shifts W_ab = X^a Z^b, with weights p = |S|^2 / N whose Fourier
@@ -127,17 +128,27 @@ def conditional_sub(dim: int) -> Operator:
 class PermutationGate:
     """Phase-free unitary relabelling x-basis triples of a 3-register space.
 
-    ``perm`` is a read-only copy, so a gate can be shared between callers.
+    ``perm`` must hold each of 0, ..., N^3 - 1 once, as integers or as
+    integral floats; anything else raises ValueError.  The gate keeps a
+    read-only intp copy, so it can be shared between callers.
     """
 
     __slots__ = ("dim", "perm")
 
     def __init__(self, dim: int, perm: np.ndarray):
         self.dim = validate_dim(dim)
-        perm = np.array(perm, dtype=np.intp)
+        entries = np.asarray(perm)
         size = self.dim**3
-        if perm.shape != (size,):
-            raise ValueError(f"permutation has shape {perm.shape}, expected ({size},)")
+        if entries.shape != (size,):
+            raise ValueError(f"permutation has shape {entries.shape}, expected ({size},)")
+        # NaN fails the comparison with its own truncation, inf the range test
+        if entries.dtype.kind not in "iu" and not (
+            entries.dtype.kind == "f" and np.array_equal(entries, np.trunc(entries))
+        ):
+            raise ValueError("index map has non-integral entries")
+        if not ((entries >= 0).all() and (entries < size).all()):
+            raise ValueError(f"index map has entries outside [0, {size})")
+        perm = entries.astype(np.intp)
         if np.bincount(perm, minlength=size).max() != 1:
             raise ValueError("index map is not a bijection")
         perm.flags.writeable = False
@@ -294,9 +305,9 @@ class _ChannelTables(NamedTuple):
     flattened program matrix C into output 1's rows; ``shear`` reads the
     flattened C and ``gram`` the flattened Gram products into output 3's
     kernels K, and ``third`` reads the flattened K into output 3's
-    multiplier.  ``back`` reads one flattened plane of :func:`distribute`'s
-    work buffer, stored [x, delta], back into a matrix.  ``columns`` is the
-    width of the Gram products' right factor.
+    multiplier.  ``back`` reads one flattened (N, N) plane of
+    :func:`distribute`, stored [x, delta], back into a matrix.  ``columns``
+    is the width of the Gram products' right factor.
     """
 
     rho_diag: np.ndarray
@@ -354,9 +365,11 @@ def _channel_tables(dim: int) -> _ChannelTables:
     return tables
 
 
-def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
+def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of Gram
-    products of sheared columns of C.
+    products of sheared columns of C, built in place: ``out`` is a (3, N, N)
+    and ``spare`` an (N, N) complex array, both overwritten.  Returns K as
+    the view ``out[0]``.
 
     With y_v[w] = C[w + s(v), v] and v' = v - 2d, K[d, v] = <y_{v'}, y_v>
     whenever s(v) - s(v') = d.  For odd N, s(v) = v (N+1)/2 halves v mod N,
@@ -365,11 +378,19 @@ def _third_output_kernels(coeffs: np.ndarray) -> np.ndarray:
     case reads the product with the columns y_{v'} rolled by N/2.  There
     v' has v's parity, so the products are taken per parity: two N x N/2
     products, half the work of one over all pairs.
+
+    The conjugated left factors fill slot 0 (and slot 1 for even N), the
+    right factors slot 2 and the Gram products ``spare``; K is read from
+    the products into slot 0.
     """
     tables = _channel_tables(coeffs.shape[0])
-    z = coeffs.take(tables.shear, mode="clip")
-    gram = np.matmul(z.conj().swapaxes(1, 2), z[:, :, : tables.columns])
-    return gram.take(tables.gram, mode="clip")
+    parts, d, columns = tables.shear.shape[0], coeffs.shape[0], tables.columns
+    left, right = out[:parts], out[2].reshape(parts, d, columns)
+    np.take(coeffs, tables.shear, out=left, mode="clip")
+    np.copyto(right, left[:, :, :columns])
+    np.conjugate(left, out=left)
+    np.matmul(left.swapaxes(1, 2), right, out=spare.reshape(parts, d, columns))
+    return np.take(spare, tables.gram, out=out[0], mode="clip")
 
 
 def _check_weyl_weights(squares: np.ndarray) -> None:
@@ -396,11 +417,14 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     the module docstring.  The joint state is built only when
     ``.joint`` is read.
 
-    The three outputs are Weyl multipliers, applied in one pass: their
-    multipliers and the transform of rho's diagonals are four slots of one
-    (4, N, N) work buffer, one inverse FFT takes all three products, and
-    each output is gathered into the slot before it.  The returned
-    operators are views of that buffer.
+    The three outputs are Weyl multipliers, applied in one pass inside two
+    arrays, the only N x N-sized ones a call allocates: the (3, N, N) stack
+    that holds the outputs, and one (N, N) spare slot.  Output 3's kernels
+    are built in both, its multiplier sits in the spare, and the transform
+    of rho's diagonals and outputs 1 and 2's multipliers in the stack.  Each
+    output is gathered into the stack slot before it, output 3 from the
+    spare.  The returned operators are views of the stack, and the spare is
+    the density checker's scratch.
 
     Outputs 1 and 2 are certified positive by their Weyl weights: each is
     sum_ab p_ab W_ab rho W_ab^dag over the shifts W_ab = X^a Z^b, so weights
@@ -418,32 +442,30 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
         raise ValueError(f"dimension mismatch: input {d}, program {ket.dims[0]}")
     tables = _channel_tables(d)
     coeffs = ket.amplitudes.reshape(d, d)
-    # Output 3's kernels come first, so that their Gram temporaries are
-    # freed before the work buffer is allocated.
-    kernels = _third_output_kernels(coeffs)
-    # One work buffer of four slots, transformed in place.  Slot 3 holds
-    # output 3's multiplier sum_v K_delta(v + delta) * exp(-2 pi i k v / N),
-    # stored [k, delta].
-    buf = np.empty((4, d, d), dtype=complex)
-    np.take(kernels, tables.third, out=buf[3], mode="clip")
-    del kernels
-    np.fft.fft(buf[3], axis=0, out=buf[3])
+    out = np.empty((3, d, d), dtype=complex)
+    spare = np.empty((d, d), dtype=complex)
+    # Output 3's kernels K are built in both arrays and left in slot 0.  The
+    # spare then holds output 3's multiplier
+    # sum_v K_delta(v + delta) * exp(-2 pi i k v / N), stored [k, delta].
+    kernels = _third_output_kernels(coeffs, out, spare)
+    np.take(kernels, tables.third, out=spare, mode="clip")
+    np.fft.fft(spare, axis=0, out=spare)
     # Slot 0 holds rho's diagonals D[delta, x] = rho[x, x + delta], and
     # slots 1 and 2 the rows whose circular autocorrelations are G_j (the
     # diagonals C[x, x - j]) and H_j (the rows C[-j, u]); one FFT along x
     # takes all three.
-    np.take(psi.amplitudes.conj(), tables.rho_diag, out=buf[0], mode="clip")
-    buf[0] *= psi.amplitudes
-    np.take(coeffs, tables.diagonals, out=buf[1], mode="clip")
-    buf[2, 0] = coeffs[0]
-    buf[2, 1:] = coeffs[:0:-1]
-    np.fft.fft(buf[:3], axis=2, out=buf[:3])
+    np.take(psi.amplitudes.conj(), tables.rho_diag, out=out[0], mode="clip")
+    out[0] *= psi.amplitudes
+    np.take(coeffs, tables.diagonals, out=out[1], mode="clip")
+    out[2, 0] = coeffs[0]
+    out[2, 1:] = coeffs[:0:-1]
+    np.fft.fft(out, axis=2, out=out)
     # |S|^2 / N are the weights of the shift operators in outputs 1 and 2;
     # as a probability distribution they certify both outputs positive.
     # An inverse 2-D FFT, over j and the frequency, turns them into the
     # multipliers sum_j R_j(-delta) * exp(2 pi i j k / N), R = G, H, stored
     # [k, delta].
-    power = buf[1:3]
+    power = out[1:]
     re, im = power.real, power.imag
     np.square(re, out=re)
     np.square(im, out=im)
@@ -455,15 +477,19 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     # diagonal delta at frequency k; the inverse FFT over k leaves each
     # output's diagonals stored [x, delta], gathered back into the slot
     # before it.  Output 3 comes out conjugated.
-    buf[1:] *= buf[0].T
-    np.fft.ifft(buf[1:], axis=1, out=buf[1:])
-    for k in range(3):
-        np.take(buf[k + 1], tables.back, out=buf[k], mode="clip")
-    np.conjugate(buf[2], out=buf[2])
+    out[1:] *= out[0].T
+    spare *= out[0].T
+    np.fft.ifft(out[1:], axis=1, out=out[1:])
+    np.fft.ifft(spare, axis=0, out=spare)
+    for k, plane in enumerate((out[1], out[2], spare)):
+        np.take(plane, tables.back, out=out[k], mode="clip")
+    np.conjugate(out[2], out=out[2])
     # finite, Hermitian and unit trace all three, and output 3 factorised
-    _check_densities(buf[:3], positive=(2,), names=("output 1", "output 2", "output 3"))
+    _check_densities(
+        out, positive=(2,), names=("output 1", "output 2", "output 3"), scratch=spare
+    )
     return DistributorOutput(
-        *(DensityOperator._checked((d,), rho) for rho in buf[:3]), inputs=(psi, ket)
+        *(DensityOperator._checked((d,), rho) for rho in out), inputs=(psi, ket)
     )
 
 

@@ -132,7 +132,10 @@ def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureStat
 
 
 def _check_densities(
-    stack: np.ndarray, positive: Sequence[int], names: Sequence[str] = ("matrix",)
+    stack: np.ndarray,
+    positive: Sequence[int],
+    names: Sequence[str] = ("matrix",),
+    scratch: np.ndarray | None = None,
 ) -> None:
     """Check each (N, N) slot of ``stack`` as a density matrix, in order.
 
@@ -143,12 +146,14 @@ def _check_densities(
     above ``-ATOL_CHAIN``, and only when it fails does the smallest
     eigenvalue from ``eigvalsh`` decide.  Both read only the lower triangle.
     A non-finite entry fails the Hermitian comparison, so finiteness is
-    looked up only to name the failure.  One N x N scratch array serves
-    every slot; ``stack`` is never written.  A failure raises ValueError
+    looked up only to name the failure.  One N x N complex ``scratch``
+    array serves every slot: the caller's, overwritten, or a new one when
+    it is None.  ``stack`` is never written.  A failure raises ValueError
     naming the slot, by ``names[slot]``, and the check.
     """
     d = stack.shape[-1]
-    scratch = np.empty((d, d), dtype=complex)
+    if scratch is None:
+        scratch = np.empty((d, d), dtype=complex)
     for slot, (mat, name) in enumerate(zip(stack, names, strict=True)):
         np.conjugate(mat.T, out=scratch)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below

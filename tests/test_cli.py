@@ -170,9 +170,9 @@ class TestDistribute:
         check = qid_network._check_densities
         validate = DensityOperator.__init__
 
-        def counted_check(stack, positive, names):
-            checked.append((stack.shape, tuple(positive)))
-            check(stack, positive, names)
+        def counted_check(stack, positive, names, scratch=None):
+            checked.append((stack.shape, tuple(positive), getattr(scratch, "shape", None)))
+            check(stack, positive, names, scratch)
 
         def counted(self, *args, **kwargs):
             built.append(args[0])
@@ -182,7 +182,7 @@ class TestDistribute:
         monkeypatch.setattr(DensityOperator, "__init__", counted)
         code, _, _ = run_cli(capsys, "distribute", "--dim", "8", "--alpha", "0.4")
         assert code == 0
-        assert checked == [((3, 8, 8), (2,))]
+        assert checked == [((3, 8, 8), (2,), (8, 8))]
         assert built == []
 
     @pytest.mark.parametrize("output", (0, 1, 2))
@@ -221,10 +221,10 @@ class TestDistribute:
 
     def test_non_positive_output_3_ends_in_one_error_line(self, monkeypatch, capsys):
         # the kernel K_0 = (1.5, -0.5, 0, 0) sends |0> to diag(1.5, -0.5, 0, 0)
-        def kernels(coeffs):
-            k = np.zeros(coeffs.shape, dtype=complex)
-            k[0, :2] = 1.5, -0.5
-            return k
+        def kernels(coeffs, out, spare):
+            out[0] = 0.0
+            out[0, 0, :2] = 1.5, -0.5
+            return out[0]
 
         monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)
         code, out, err = run_cli(

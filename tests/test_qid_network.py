@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,27 @@ class TestDistributorUnitary:
         assert build_qid_unitary(4) is not gate
         with pytest.raises(ValueError):
             gate.perm[0] = gate.perm[1]
+
+    @pytest.mark.parametrize(
+        ("last", "match"),
+        (
+            (9, r"outside \[0, 8\)"),  # past N^3: apply would index out of bounds
+            (-1, r"outside \[0, 8\)"),
+            (7.5, "non-integral"),  # truncated to 7, a bijection, by an intp cast
+            (math.nan, "non-integral"),
+            (math.inf, r"outside \[0, 8\)"),
+        ),
+    )
+    def test_gate_rejects_maps_that_are_not_permutations(self, last, match):
+        with pytest.raises(ValueError, match=match):
+            PermutationGate(2, np.r_[np.arange(7), last])
+
+    def test_gate_accepts_integral_floats_and_keeps_a_copy(self):
+        entries = np.arange(8.0)[::-1].copy()
+        gate = PermutationGate(2, entries)
+        entries[0] = 0.0
+        assert gate.perm.dtype == np.intp
+        assert gate.perm.tolist() == list(range(7, -1, -1))
 
     @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7, 16, 64))
     def test_circuit_is_weyl_covariant(self, dim):
@@ -318,8 +340,43 @@ class TestDistribution:
         rng = np.random.default_rng(dim)
         coeffs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         oracle = third_output_kernels_by_loop(coeffs)
-        gap = np.abs(_third_output_kernels(coeffs) - oracle).max()
+        out = np.full((3, dim, dim), np.nan, dtype=complex)
+        spare = np.full((dim, dim), np.nan, dtype=complex)
+        kernels = _third_output_kernels(coeffs, out, spare)
+        # K is built in the caller's arrays, and returned as slot 0
+        assert np.shares_memory(kernels, out[0])
+        gap = np.abs(kernels - oracle).max()
         assert gap <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("dim", (64, 65))
+    def test_outputs_are_views_of_one_stack(self, dim):
+        # the (3, N, N) complex stack and nothing more: 48 N^2 bytes
+        rng = np.random.default_rng(dim)
+        out = distribute(haar_random_state((dim,), rng), haar_random_state((dim, dim), rng))
+        bases = {id(rho.matrix.base) for rho in (out.rho1, out.rho2, out.rho3)}
+        assert len(bases) == 1
+        assert out.rho1.matrix.base.nbytes == 48 * dim**2
+
+    def test_warm_call_allocates_two_arrays(self):
+        # a warm call at N = 65 (index tables cached) allocates the (3, N, N)
+        # stack and one (N, N) spare slot; numpy's Cholesky adds one N x N
+        # result, and the read-only index tables a half-size copy per gather
+        dim = 65
+        rng = np.random.default_rng(dim)
+        psi, ket = haar_random_state((dim,), rng), haar_random_state((dim, dim), rng)
+        distribute(psi, ket)
+        unit = 16 * dim**2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = distribute(psi, ket)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / unit <= 5.5
+        assert (held - before) / unit <= 3.1
+        assert out.rho3.matrix.shape == (dim, dim)
 
     def test_inputs_left_unchanged(self):
         for dim in (4, 5):
@@ -444,10 +501,10 @@ class TestOutputCertificates:
     def test_distribute_factorises_output_3(self, monkeypatch):
         # K_0 = (1.5, -0.5, 0, ...) sends the basis input |0> to the Hermitian,
         # unit-trace diag(1.5, -0.5, 0, ...), which only the factorisation catches
-        def kernels(coeffs):
-            k = np.zeros(coeffs.shape, dtype=complex)
-            k[0, :2] = 1.5, -0.5
-            return k
+        def kernels(coeffs, out, spare):
+            out[0] = 0.0
+            out[0, 0, :2] = 1.5, -0.5
+            return out[0]
 
         monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)
         basis = PureState((4,), np.eye(4)[0])
@@ -455,10 +512,11 @@ class TestOutputCertificates:
             distribute(basis, cloner_program(4))
 
     @pytest.mark.parametrize("dim", (4, 5, 64))
-    def test_distribute_takes_four_ffts(self, monkeypatch, dim):
+    def test_distribute_takes_five_ffts(self, monkeypatch, dim):
         # one FFT of output 3's kernels, one of rho's diagonals and the
-        # program rows, one 2-D inverse FFT of the Weyl weights, and one
-        # inverse FFT that applies all three outputs' multipliers
+        # program rows, one 2-D inverse FFT of the Weyl weights, and two
+        # inverse FFTs that apply the multipliers: one for outputs 1 and 2 in
+        # the stack, one for output 3 in the spare slot
         rng = np.random.default_rng(dim)
         psi, ket = haar_random_state((dim,), rng), haar_random_state((dim, dim), rng)
         calls = []
@@ -475,7 +533,7 @@ class TestOutputCertificates:
         for name in ("fft", "ifft", "ifftn"):
             monkeypatch.setattr(np.fft, name, counted(name))
         distribute(psi, ket)
-        assert sorted(calls) == ["fft", "fft", "ifft", "ifftn"]
+        assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "ifftn"]
 
     @pytest.mark.parametrize("dim", (*range(2, 9), 64))
     def test_weights_certify_outputs_1_and_2(self, dim):
