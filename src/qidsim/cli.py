@@ -31,7 +31,8 @@ from .qudit_core import PureState, fidelity, haar_random_state
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
 # trapezoid nodes of the kernel-norm check on each side of eta = 0: a spacing
-# of sigma / 33 over +-12 sigma
+# of sigma / 33 over +-12 sigma of each kernel, one (3, nodes) array for all
+# three and one kernel_eval call per xi
 KERNEL_NORM_HALF_NODES = 400
 # largest squeezing the kernel-norm rule can sample: its outermost node is
 # 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
@@ -112,8 +113,15 @@ def _finish(args, payload, gates, columns=None) -> int:
 
 
 def _worst(deviations) -> float:
-    """Largest deviation, NaN if any is NaN (the built-in max can drop it)."""
-    return float(np.max(list(deviations), initial=0.0))
+    """Largest deviation with a floor of 0.0, NaN if any is NaN (the
+    built-in max can drop it)."""
+    worst = 0.0
+    for value in deviations:
+        if value != value:  # NaN
+            return math.nan
+        if value > worst:
+            worst = value
+    return float(worst)
 
 
 def _bad_option(option: str, value: str, expected: str) -> ValueError:
@@ -275,9 +283,11 @@ def _dump_wigner_grid(grid, xi: float, args) -> None:
     _write_file(path, grid.to_csv if args.format == "csv" else grid.to_json)
 
 
-def _kernel_norm(which: int, xi: float) -> float:
-    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of an output-1 kernel by the
-    trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes over +-12 sigma.
+def _kernel_norms(xi: float) -> list[float]:
+    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of output 1's kernels 1, 2
+    and 3, each by the trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes
+    over +-12 sigma of that kernel, all three from one ``kernel_eval`` call
+    on a (3, nodes) array.
 
     The bounds scale with the kernel, which can be e^{-xi}-narrow.  The
     integrand is a Gaussian of width at most sigma, so the rule's error,
@@ -286,10 +296,21 @@ def _kernel_norm(which: int, xi: float) -> float:
     integer multiples of h, so the peak eta = 0 is always one of them and a
     kernel that is NaN there fails the check.
     """
-    h = 12 * cv._kernel_sigma(which, xi, 1) / KERNEL_NORM_HALF_NODES
-    eta = h * np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1)
-    k = cv.kernel_eval(which, xi, 0.0, eta)
-    return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
+    h = 12 * np.sqrt(cv._kernel_table(xi)[0, :, 1]) / KERNEL_NORM_HALF_NODES
+    eta = np.multiply.outer(h, np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1))
+    k = cv.kernel_eval((1, 2, 3), xi, 0.0, eta)
+    return (h * (k.sum(axis=1) - (k[:, 0] + k[:, -1]) / 2) / math.sqrt(2 * np.pi)).tolist()
+
+
+@functools.cache
+def _vacuum() -> cv.GaussianState:
+    """The cv command's input, built and validated once per process, like
+    the parser; its arrays are read-only, so no command changes it for the
+    next."""
+    state = cv.GaussianState.vacuum()
+    state.mean.flags.writeable = False
+    state.cov.flags.writeable = False
+    return state
 
 
 def cmd_cv(args) -> int:
@@ -310,7 +331,7 @@ def cmd_cv(args) -> int:
                 f"squeezing xi={xi} overflows the kernel-norm rule, which samples "
                 f"xi <= {XI_MAX}"
             )
-    vacuum = cv.GaussianState.vacuum()
+    vacuum = _vacuum()
     # gates in row order and, within a row, the kernel residual, then the
     # grid's mass, then its fidelity gap: the first that fails is named
     rows, gates = [], []
@@ -318,8 +339,7 @@ def cmd_cv(args) -> int:
         alpha = args.alpha
         beta = cv.solve_cv_beta(alpha, xi)
         row = {"xi": xi, "alpha": alpha, "beta": beta}
-        for which in (1, 2, 3):
-            val = _kernel_norm(which, xi)
+        for which, val in zip((1, 2, 3), _kernel_norms(xi)):
             row[f"k{which}_norm"] = val
             row[f"k{which}_residual"] = val - cv.kernel_norm_expected(which, xi)
         resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))

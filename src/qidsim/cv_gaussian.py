@@ -25,16 +25,18 @@ has the product Wigner function u(x) v(p) (:meth:`GaussianState.wigner_factors`)
 and the Gaussian kernels' characteristic functions factor into kx and kp
 parts; only the cross kernel's cos(twist kx kp / det) does not.
 :func:`output_overlaps` therefore is given only the factors and the
-lattice's geometry (a :class:`Lattice`).  It takes one padded real FFT per
-axis, of the factor and the lattice's indicator together, shared by both
-outputs, and reads each output as a Parseval inner product: a product of
-1-D sums per Gaussian kernel, all of them from one matrix product per
-axis, and for the cross kernel a double sum with the phase c kx kp on two
-uniform frequency grids, which is a chirp-z transform done as an FFT
-convolution (:func:`_cosine_sum`), one forward and one inverse FFT for
-both outputs.  A grid row so takes four FFT calls.  No (kx x kp) array is
-built for a grid row; a 2-D grid is built only to be convolved and written
-out.  Every transform is
+lattice's geometry (a :class:`Lattice`).  It takes one padded real FFT of
+the stacked factors and the lattice's indicator, shared by both outputs
+and, on a square lattice such as ``qidsim cv`` samples, by both axes (a
+rectangular lattice takes one per axis).  It reads each output as a
+Parseval inner product: a product of 1-D sums per Gaussian kernel, all of
+them from one matrix product per axis, and for the cross kernel a double
+sum with the phase c kx kp on two uniform frequency grids, which is a
+chirp-z transform done as an FFT convolution (:func:`_cosine_sum`), one
+forward and one inverse FFT for both outputs.  A grid row so takes three
+FFT calls on a square lattice and four on a rectangular one.  No (kx x kp)
+array is built for a grid row; a 2-D grid is built only to be convolved
+and written out.  Every transform is
 ``numpy.fft``'s, zero padded to a length whose prime factors are all small
 (:func:`_next_fast_len`), so the library needs no scipy.  A squeezing strength
 ``xi`` is a plain float; every entry point rejects one that is negative or
@@ -59,7 +61,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +166,11 @@ class Lattice:
     @property
     def p(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.n_p)
+
+    @property
+    def square(self) -> bool:
+        """Whether both axes sample the same points, as :meth:`centered`'s do."""
+        return (self.x_min, self.x_max, self.n_x) == (self.p_min, self.p_max, self.n_p)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.p, indexing="ij")
@@ -349,12 +356,14 @@ class GaussianState:
         self, lattice: Lattice
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
         """(qx, qp, qxp, det S): W = exp(qx[i] + qp[j] + qxp[i, j]) / sqrt(det S)
-        on ``lattice``; ``qxp`` is None for a state without x-p correlation."""
+        on ``lattice``; ``qxp`` is None for a state without x-p correlation.
+        A square lattice's axes are sampled once."""
         if self.modes != 1:
             raise ValueError("grid sampling is for single-mode states")
-        (s_xx, s_xp), (_, s_pp) = self.cov
+        (s_xx, s_xp), (_, s_pp) = self.cov.tolist()
         det = s_xx * s_pp - s_xp * s_xp
-        dx, dp = lattice.x - self.mean[0], lattice.p - self.mean[1]
+        x = lattice.x
+        dx, dp = x - self.mean[0], (x if lattice.square else lattice.p) - self.mean[1]
         qxp = None if s_xp == 0.0 else (s_xp / det) * np.outer(dx, dp)
         return -0.5 * (s_pp / det) * dx**2, -0.5 * (s_xx / det) * dp**2, qxp, det
 
@@ -537,7 +546,7 @@ def _kernel_form(which: int, xi: float, output: int) -> tuple[float, float, floa
 
 
 def kernel_eval(
-    which: int, xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
+    which: int | Sequence[int], xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
 ) -> np.ndarray:
     """Closed-form reduction kernels K1, K2, K3 of either output,
 
@@ -547,12 +556,21 @@ def kernel_eval(
     on the kernel's (amp, var, twist).  The cross kernel's cosh, the even
     part of exp(+-var twist xbar eta), is what direct quadrature of the
     defining integral yields.
+
+    ``which`` is one kernel, or a sequence of k kernels evaluated by one
+    call: their forms are then (k, 1) columns, so a 1-D ``xbar`` or ``eta``
+    is shared by every kernel and a (k, n) one gives each kernel its own
+    row.  Row i equals the call on ``which[i]`` alone, bit for bit.
     """
-    amp, var, twist = _kernel_form(which, xi, output)
+    if isinstance(which, Sequence):
+        rows = [_check_which(k) - 1 for k in which]
+        amp, var, twist = _kernel_table(xi)[_check_output(output) - 1, rows].T[..., None]
+    else:
+        amp, var, twist = _kernel_form(which, xi, output)
     xbar = np.asarray(xbar, dtype=float)
     eta = np.asarray(eta, dtype=float)
     return (
-        amp * math.sqrt(var)
+        amp * np.sqrt(var)
         * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
         * np.cosh(var * twist * xbar * eta)
     )
@@ -599,10 +617,10 @@ def _kernel_factors(
     q = 1 + (var * twist) ** 2
     g = var / q  # 1 / (var det)
     scale = 2 * np.pi * amp * var / np.sqrt(q)
-    # one exp per axis for all kernels
-    fx = np.exp(np.multiply.outer(-g / 2, kx**2))
-    fx *= np.reshape(scale, scale.shape + (1,) * np.ndim(kx))
+    # one exp per axis for all kernels, one for both when ``kp is kx``
     fp = np.exp(np.multiply.outer(-g / 2, kp**2))
+    fx = fp.copy() if kp is kx else np.exp(np.multiply.outer(-g / 2, kx**2))
+    fx *= np.reshape(scale, scale.shape + (1,) * np.ndim(kx))
     return fx, fp, twist * var * g
 
 
@@ -690,12 +708,6 @@ def _next_fast_len(target: int, real: bool) -> int:
         n += 1
 
 
-def _kernel_sigma(which: int, xi: float, output: int) -> float:
-    """Per-quadrature standard deviation of a kernel Wigner function
-    (Gaussian part for the cross kernel): sqrt(var)."""
-    return math.sqrt(_kernel_form(which, xi, output)[1])
-
-
 # ---------------------------------------------------------------------------
 # Output Wigner functions
 # ---------------------------------------------------------------------------
@@ -744,8 +756,8 @@ def _padded_shape(grid: Lattice, sigma: float) -> tuple[int, int]:
     """
     # 12 sigma of zero padding after the data: a wrapped-around contribution
     # comes from at least 12 sigma away, where every kernel has vanished
-    mx = int(np.ceil(6 * sigma / grid.dx)) + 1
-    mp = int(np.ceil(6 * sigma / grid.dp)) + 1
+    mx = math.ceil(6 * sigma / grid.dx) + 1
+    mp = math.ceil(6 * sigma / grid.dp) + 1
     return (
         _next_fast_len(grid.n_x + 2 * mx, real=True),
         _next_fast_len(grid.n_p + 2 * mp, real=True),
@@ -823,9 +835,12 @@ def output_overlaps(
     every H is even in kx and in kp, so the weight stands for the
     frequencies -kx and -kp.  Both spectra are products of an x and a p
     factor (the indicator is separable too), so each axis costs one real
-    FFT of the stacked factor and indicator (:func:`_axis_parts`).  Every
+    FFT of the stacked factor and indicator (:func:`_axis_parts`).  A
+    square lattice's axes share the indicator and the frequencies, so one
+    real FFT of the stacked (u, v, indicator) rows serves both.  Every
     weighted (output, kernel) pair's factors fx and fp come from one exp
-    per axis (:func:`_kernel_factors` on rows of :func:`_kernel_table`).  A
+    per axis, one for both on a square lattice (:func:`_kernel_factors` on
+    rows of :func:`_kernel_table`).  A
     Gaussian kernel's H is fx(kx) fp(kp), and its sums are products of 1-D
     sums, one matrix product per axis for all of them.  The cross kernel's
     H is fx(kx) fp(kp) cos(c kx kp) on the uniform grids kx = i dkx and
@@ -847,9 +862,15 @@ def output_overlaps(
     weights = _output_weights(alpha, beta)
     sigma = max(_widest_kernel(lattice, weights, xi, output) for output in (1, 2))
     shape = _padded_shape(lattice, sigma)
-    x_parts, p_parts = _axis_parts(u, shape[0]), _axis_parts(v, shape[1])
     kx = 2 * np.pi * np.fft.rfftfreq(shape[0], d=lattice.dx)
-    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=lattice.dp)
+    if lattice.square:
+        # both axes sample the same points: one transform and one set of
+        # frequencies serve both
+        x_parts, p_parts = _axis_parts((u, v), shape[0])
+        kp = kx
+    else:
+        (x_parts,), (p_parts,) = _axis_parts((u,), shape[0]), _axis_parts((v,), shape[1])
+        kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=lattice.dp)
     # every weighted kernel of both outputs, (output, kernel) along the
     # leading axes
     kernels = list(weights)
@@ -871,21 +892,25 @@ def output_overlaps(
     return (f1, m1), (f2, m2)
 
 
-def _axis_parts(f: np.ndarray, length: int) -> np.ndarray:
-    """One axis's factors of |A|^2 and Re(conj(I) A), a (2, length // 2 + 1)
-    array: A is the transform of the real factor ``f`` and I that of its
-    lattice's indicator, both zero padded to ``length``, on the frequencies
-    k >= 0.  Each column carries its Hermitian weight, 1 for column 0 and an
-    even Nyquist column and 2 otherwise, which stands for the column of -k.
-    One rfft of the stacked (f, indicator) rows."""
-    rows = np.zeros((2, length))
-    rows[0, : f.size] = f
-    rows[1, : f.size] = 1.0
-    a, ind = rfft(rows)
-    parts = np.empty((2, a.size))
-    parts[0] = a.real**2 + a.imag**2
-    parts[1] = ind.real * a.real + ind.imag * a.imag
-    parts[:, 1 : (length + 1) // 2] *= 2.0
+def _axis_parts(factors: Sequence[np.ndarray], length: int) -> np.ndarray:
+    """Each factor's parts |A|^2 and Re(conj(I) A) along its axis, a
+    (len(factors), 2, length // 2 + 1) array: A is the transform of the
+    real factor and I that of the lattice's indicator, both zero padded to
+    ``length``, on the frequencies k >= 0.  The factors all have the
+    indicator's size, so one call serves both axes of a square lattice.
+    Each column carries its Hermitian weight, 1 for column 0 and an even
+    Nyquist column and 2 otherwise, which stands for the column of -k.  One
+    rfft of the stacked (factors..., indicator) rows."""
+    m, size = len(factors), factors[0].size
+    rows = np.zeros((m + 1, length))
+    rows[:m, :size] = factors
+    rows[m, :size] = 1.0
+    spectra = rfft(rows)
+    a, ind = spectra[:m], spectra[m]
+    parts = np.empty((m, 2, ind.size))
+    parts[:, 0] = a.real**2 + a.imag**2
+    parts[:, 1] = ind.real * a.real + ind.imag * a.imag
+    parts[..., 1 : (length + 1) // 2] *= 2.0
     return parts
 
 

@@ -11,6 +11,7 @@ is tested up to a single global phase via
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -60,12 +61,12 @@ class PureState:
     def __init__(self, dims: Sequence[int], amplitudes: np.ndarray):
         self.dims = tuple(validate_dim(d) for d in dims)
         amps = np.asarray(amplitudes, dtype=complex).ravel()
-        expected = int(np.prod(self.dims))
+        expected = math.prod(self.dims)
         if amps.size != expected:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {expected}"
             )
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         # NaN-safe: a NaN or inf amplitude makes the norm NaN or inf
         if not (abs(norm - 1.0) <= ATOL_EXACT):
             if not np.isfinite(amps).all():
@@ -126,7 +127,7 @@ class PureState:
 
 def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
     """Haar-random pure state: normalised standard complex normal vector."""
-    n = int(np.prod(tuple(dims)))
+    n = math.prod(dims)
     vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(dims, vec / np.linalg.norm(vec))
 
@@ -195,7 +196,7 @@ class DensityOperator:
     def __init__(self, dims: Sequence[int], matrix: np.ndarray):
         self.dims = tuple(validate_dim(d) for d in dims)
         mat = np.asarray(matrix, dtype=complex)
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
         _check_densities(mat[None], positive=(0,))
@@ -212,7 +213,7 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityOperator(dims={self.dims})"
@@ -226,7 +227,7 @@ class Operator:
     def __init__(self, dims: Sequence[int], matrix: np.ndarray, *, check_unitary: bool = False):
         self.dims = tuple(validate_dim(d) for d in dims)
         mat = np.asarray(matrix, dtype=complex)
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
         if check_unitary:
@@ -237,7 +238,7 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def apply(self, state: PureState) -> PureState:
         """Apply to a state spanning exactly the operator's registers."""
@@ -322,10 +323,10 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityOperator:
 
 
 def fidelity(rho: DensityOperator, psi: PureState) -> float:
-    """Pure-state fidelity <psi|rho|psi>, clipped to [0, 1]."""
+    """Pure-state fidelity <psi|rho|psi>, clipped to [0, 1]; NaN stays NaN."""
     if rho.dims != psi.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {psi.dims}")
     val = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
     if abs(val.imag) > ATOL_EXACT:
         raise ValueError(f"fidelity has imaginary part {val.imag:.3e}")
-    return float(np.clip(val.real, 0.0, 1.0))
+    return float(min(max(val.real, 0.0), 1.0))

@@ -352,10 +352,10 @@ class TestCv:
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
         assert calls == {"rfft2": forward, "irfft2": inverse}
 
-    def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
-        # a grid row is one rfft per axis and one forward and one inverse
-        # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
-        # takes none, so every call falls inside a grid row
+    @staticmethod
+    def _ffts_per_grid_row(monkeypatch, capsys):
+        """FFT calls made inside each grid row of ``cv --xi 0.5,1,4 --grid
+        256``, and all FFT calls of the command."""
         calls = {"fft": 0, "ifft": 0, "rfft": 0}
         per_row = []
 
@@ -381,8 +381,64 @@ class TestCv:
         code, out, _ = run_cli(capsys, "cv", "--xi", "0.5,1,4", "--grid", "256")
         assert code == 0
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
+        return per_row, sum(calls.values())
+
+    def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
+        # a grid row is one rfft per axis and one forward and one inverse
+        # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
+        # takes none, so every call falls inside a grid row
+        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
         assert len(per_row) == 2 and max(per_row) <= 4
-        assert sum(calls.values()) == sum(per_row)
+        assert total == sum(per_row)
+
+    def test_square_grid_rows_take_three_ffts(self, monkeypatch, capsys):
+        # cv's lattice is square, so one rfft of the stacked (u, v,
+        # indicator) rows serves both axes, beside the chirp-z pair
+        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
+        assert per_row == [3, 3]
+        assert total == 6
+
+    def test_vacuum_is_built_once_per_process(self, monkeypatch, capsys):
+        # the input is built and validated once, not per command or row, and
+        # its arrays are read-only, so no command changes it for the next
+        built = []
+        init = cv_gaussian.GaussianState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            init(state)
+
+        monkeypatch.setattr(cv_gaussian.GaussianState, "__post_init__", counted)
+        cli._vacuum.cache_clear()
+        for xis in ("0.5,1", "3"):
+            assert run_cli(capsys, "cv", "--xi", xis)[0] == 0
+        (state,) = built
+        assert not (state.mean.flags.writeable or state.cov.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            state.cov[0, 0] = 1.0
+
+    @pytest.mark.parametrize("xi", (0.0, 0.5, 3.0, 177.6, XI_MAX))
+    def test_kernel_norms_take_one_call_and_match_each_kernels_rule(self, monkeypatch, capsys, xi):
+        # all three norms come from one batched kernel_eval call per xi, and
+        # each equals the trapezoid rule on its kernel alone, bit for bit
+        exact, calls = cv_gaussian.kernel_eval, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(cv_gaussian, "kernel_eval", counted)
+        code, out, err = run_cli(capsys, "cv", "--xi", str(xi))
+        assert (code, err) == (0, "")
+        assert calls == [(1, 2, 3)]
+        (row,) = parse_csv(out)
+        half = cli.KERNEL_NORM_HALF_NODES
+        nodes = np.arange(-half, half + 1)
+        for which in (1, 2, 3):
+            h = 12 * math.sqrt(cv_gaussian._kernel_form(which, xi, 1)[1]) / half
+            k = exact(which, xi, 0.0, h * nodes)
+            expected = float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
+            assert float(row[f"k{which}_norm"]) == expected
 
     def test_warm_op_peak_memory(self, capsys):
         # the chirp-z sums of both outputs share one in-place buffer; a
@@ -401,10 +457,12 @@ class TestCv:
         assert peak < 300_000
 
     def test_kernel_norm_gate_catches_a_wide_kernel(self, monkeypatch, capsys):
-        # a kernel 1% too wide integrates to 1.01 times its weight
+        # every kernel 1% too wide integrates to 1.01 times its weight; the
+        # fault acts on the one batched call, row by row
         exact = cv_gaussian.kernel_eval
 
         def too_wide(which, xi, xbar, eta, output=1):
+            assert list(which) == [1, 2, 3]
             return exact(which, xi, xbar, np.asarray(eta) / 1.01, output=output)
 
         monkeypatch.setattr(cv_gaussian, "kernel_eval", too_wide)
@@ -416,12 +474,15 @@ class TestCv:
 
     def test_kernel_norm_gate_catches_a_nan_kernel(self, monkeypatch, capsys):
         # a cross kernel that is NaN at its peak eta = 0; the rule always
-        # samples that node
+        # samples that node.  The fault acts on the cross kernel's row of
+        # the one batched call
         exact = cv_gaussian.kernel_eval
 
         def nan_at_peak(which, xi, xbar, eta, output=1):
             k = exact(which, xi, xbar, eta, output=output)
-            return np.where(np.asarray(eta) == 0, np.nan, k) if which == 3 else k
+            cross = list(which).index(3)
+            k[cross][np.broadcast_to(eta, k.shape)[cross] == 0] = np.nan
+            return k
 
         monkeypatch.setattr(cv_gaussian, "kernel_eval", nan_at_peak)
         code, out, err = run_cli(capsys, "cv", "--xi", "0.5", "--grid", "128")
@@ -846,6 +907,25 @@ def test_json_floats_need_no_rounding(x):
     # json.dumps writes a float's shortest round-trip repr, so rounding it
     # through 17 significant digits first would change no byte of any output
     assert json.dumps(x) == json.dumps(float(f"{x:.17g}"))
+
+
+_WORST_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0)),
+    st.floats(allow_nan=True).map(np.float64),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_WORST_ENTRIES, max_size=8), st.data())
+def test_worst_keeps_its_rule(values, data):
+    # NaN if any entry is NaN, wherever it sits, else the largest entry with
+    # a floor of 0.0: the rule of np.max with initial=0.0
+    if values and data.draw(st.booleans()):
+        values.insert(data.draw(st.integers(0, len(values))), math.nan)
+    got, expected = cli._worst(iter(values)), float(np.max(list(values), initial=0.0))
+    assert type(got) is float
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 @pytest.mark.parametrize(

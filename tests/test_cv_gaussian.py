@@ -349,6 +349,28 @@ class TestKernels:
             kernel_eval(4, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             kernel_eval(1, 0.5, 0.0, 0.0, output=3)
+        with pytest.raises(ValueError):
+            kernel_eval((1, 4), 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            kernel_eval((1, 2), 0.5, 0.0, 0.0, output=3)
+
+    @pytest.mark.parametrize("xi", (0.0, 0.5, 3.0, 177.6))
+    @pytest.mark.parametrize("output", (1, 2))
+    def test_batched_selectors_equal_the_per_kernel_calls(self, xi, output):
+        # one call on a sequence of kernels gives each kernel's row bit for
+        # bit, with one eta shared by every kernel or one eta row per kernel
+        rng = np.random.default_rng(5)
+        xbar, eta = rng.normal(size=9), rng.normal(size=9)
+        own_rows = np.outer([0.5, 1.0, 2.0], eta)
+        for which in ((1, 2, 3), (3, 1), [2]):
+            shared = kernel_eval(which, xi, xbar, eta, output=output)
+            own = kernel_eval(which, xi, xbar, own_rows[: len(which)], output=output)
+            assert shared.shape == own.shape == (len(which), 9)
+            for i, k in enumerate(which):
+                alone = kernel_eval(k, xi, xbar, eta, output=output)
+                np.testing.assert_array_equal(shared[i], alone)
+                alone = kernel_eval(k, xi, xbar, own_rows[i], output=output)
+                np.testing.assert_array_equal(own[i], alone)
 
 
 class TestKernelWigner:
@@ -695,6 +717,29 @@ class TestOutputOverlaps:
         with pytest.raises(GridResolutionError) as spectral:
             output_overlaps(lattice, u, v, xi, alpha, beta)
         assert str(spectral.value) == str(real_space.value)
+
+    def test_square_lattice_takes_one_transform_for_both_axes(self, monkeypatch):
+        # a square lattice's two factors share one rfft and one frequency
+        # grid, which leaves every number as the per-axis transforms give it
+        xi, alpha = 0.5, math.sqrt(0.5)
+        beta = solve_cv_beta(alpha, xi)
+        lattice = Lattice.centered(suggested_half_width(xi), 256)
+        assert lattice.square
+        assert not Lattice(-8.0, 8.0, -8.5, 8.5, 256, 256).square
+        assert not Lattice(-8.0, 8.0, -8.0, 8.0, 256, 255).square
+        u, v = VACUUM.wigner_factors(lattice)
+        stacked, rfft = [], cv_gaussian.rfft
+
+        def counted(rows):
+            stacked.append(len(rows))
+            return rfft(rows)
+
+        monkeypatch.setattr(cv_gaussian, "rfft", counted)
+        shared = output_overlaps(lattice, u, v, xi, alpha, beta)
+        monkeypatch.setattr(Lattice, "square", property(lambda self: False))
+        per_axis = output_overlaps(lattice, u, v, xi, alpha, beta)
+        assert stacked == [3, 2, 2]
+        assert shared == per_axis
 
     @pytest.mark.parametrize("shapes", (((128,), (127,)), ((127,), (128,)), ((128, 128), (128,))))
     def test_rejects_factors_off_the_lattice(self, shapes):

@@ -229,6 +229,14 @@ class TestPartialTrace:
 
 
 class TestFidelityAndTranspose:
+    @pytest.mark.parametrize("scale, expected", ((2.0, 1.0), (-1.0, 0.0), (math.nan, math.nan)))
+    def test_fidelity_is_clipped_and_keeps_nan(self, scale, expected):
+        # <0|rho|0> = scale for rho = scale |0><0|, wrapped without checks
+        rho = DensityOperator._checked((2,), np.diag([scale, 0.0]).astype(complex))
+        got = fidelity(rho, PureState.basis((2,), (0,)))
+        assert type(got) is float
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
     def test_self_fidelity(self):
         psi = haar_random_state((4,), np.random.default_rng(0))
         assert abs(fidelity(psi.to_density(), psi) - 1) < 1e-12
