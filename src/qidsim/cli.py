@@ -31,8 +31,7 @@ from .qudit_core import PureState, fidelity, haar_random_state
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
 # trapezoid nodes of the kernel-norm check on each side of eta = 0: a spacing
-# of sigma / 33 over +-12 sigma of each kernel, one (3, nodes) array for all
-# three and one kernel_eval call per xi
+# of sigma / 33 over +-12 sigma
 KERNEL_NORM_HALF_NODES = 400
 # largest squeezing the kernel-norm rule can sample: its outermost node is
 # 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
@@ -283,11 +282,9 @@ def _dump_wigner_grid(grid, xi: float, args) -> None:
     _write_file(path, grid.to_csv if args.format == "csv" else grid.to_json)
 
 
-def _kernel_norms(xi: float) -> list[float]:
-    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of output 1's kernels 1, 2
-    and 3, each by the trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes
-    over +-12 sigma of that kernel, all three from one ``kernel_eval`` call
-    on a (3, nodes) array.
+def _kernel_norm(which: int, xi: float) -> float:
+    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of an output-1 kernel by the
+    trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes over +-12 sigma.
 
     The bounds scale with the kernel, which can be e^{-xi}-narrow.  The
     integrand is a Gaussian of width at most sigma, so the rule's error,
@@ -296,10 +293,10 @@ def _kernel_norms(xi: float) -> list[float]:
     integer multiples of h, so the peak eta = 0 is always one of them and a
     kernel that is NaN there fails the check.
     """
-    h = 12 * np.sqrt(cv._kernel_table(xi)[0, :, 1]) / KERNEL_NORM_HALF_NODES
-    eta = np.multiply.outer(h, np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1))
-    k = cv.kernel_eval((1, 2, 3), xi, 0.0, eta)
-    return (h * (k.sum(axis=1) - (k[:, 0] + k[:, -1]) / 2) / math.sqrt(2 * np.pi)).tolist()
+    h = 12 * cv._kernel_sigma(which, xi, 1) / KERNEL_NORM_HALF_NODES
+    eta = h * np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1)
+    k = cv.kernel_eval(which, xi, 0.0, eta)
+    return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
 
 
 @functools.cache
@@ -339,7 +336,8 @@ def cmd_cv(args) -> int:
         alpha = args.alpha
         beta = cv.solve_cv_beta(alpha, xi)
         row = {"xi": xi, "alpha": alpha, "beta": beta}
-        for which, val in zip((1, 2, 3), _kernel_norms(xi)):
+        for which in (1, 2, 3):
+            val = _kernel_norm(which, xi)
             row[f"k{which}_norm"] = val
             row[f"k{which}_residual"] = val - cv.kernel_norm_expected(which, xi)
         resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))

@@ -546,7 +546,7 @@ def _kernel_form(which: int, xi: float, output: int) -> tuple[float, float, floa
 
 
 def kernel_eval(
-    which: int | Sequence[int], xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
+    which: int, xi: float, xbar: np.ndarray, eta: np.ndarray, output: int = 1
 ) -> np.ndarray:
     """Closed-form reduction kernels K1, K2, K3 of either output,
 
@@ -556,21 +556,12 @@ def kernel_eval(
     on the kernel's (amp, var, twist).  The cross kernel's cosh, the even
     part of exp(+-var twist xbar eta), is what direct quadrature of the
     defining integral yields.
-
-    ``which`` is one kernel, or a sequence of k kernels evaluated by one
-    call: their forms are then (k, 1) columns, so a 1-D ``xbar`` or ``eta``
-    is shared by every kernel and a (k, n) one gives each kernel its own
-    row.  Row i equals the call on ``which[i]`` alone, bit for bit.
     """
-    if isinstance(which, Sequence):
-        rows = [_check_which(k) - 1 for k in which]
-        amp, var, twist = _kernel_table(xi)[_check_output(output) - 1, rows].T[..., None]
-    else:
-        amp, var, twist = _kernel_form(which, xi, output)
+    amp, var, twist = _kernel_form(which, xi, output)
     xbar = np.asarray(xbar, dtype=float)
     eta = np.asarray(eta, dtype=float)
     return (
-        amp * np.sqrt(var)
+        amp * math.sqrt(var)
         * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
         * np.cosh(var * twist * xbar * eta)
     )
@@ -706,6 +697,12 @@ def _next_fast_len(target: int, real: bool) -> int:
         if rest == 1:
             return n
         n += 1
+
+
+def _kernel_sigma(which: int, xi: float, output: int) -> float:
+    """Per-quadrature standard deviation of a kernel Wigner function
+    (Gaussian part for the cross kernel): sqrt(var)."""
+    return math.sqrt(_kernel_form(which, xi, output)[1])
 
 
 # ---------------------------------------------------------------------------

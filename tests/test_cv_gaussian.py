@@ -349,28 +349,6 @@ class TestKernels:
             kernel_eval(4, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             kernel_eval(1, 0.5, 0.0, 0.0, output=3)
-        with pytest.raises(ValueError):
-            kernel_eval((1, 4), 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            kernel_eval((1, 2), 0.5, 0.0, 0.0, output=3)
-
-    @pytest.mark.parametrize("xi", (0.0, 0.5, 3.0, 177.6))
-    @pytest.mark.parametrize("output", (1, 2))
-    def test_batched_selectors_equal_the_per_kernel_calls(self, xi, output):
-        # one call on a sequence of kernels gives each kernel's row bit for
-        # bit, with one eta shared by every kernel or one eta row per kernel
-        rng = np.random.default_rng(5)
-        xbar, eta = rng.normal(size=9), rng.normal(size=9)
-        own_rows = np.outer([0.5, 1.0, 2.0], eta)
-        for which in ((1, 2, 3), (3, 1), [2]):
-            shared = kernel_eval(which, xi, xbar, eta, output=output)
-            own = kernel_eval(which, xi, xbar, own_rows[: len(which)], output=output)
-            assert shared.shape == own.shape == (len(which), 9)
-            for i, k in enumerate(which):
-                alone = kernel_eval(k, xi, xbar, eta, output=output)
-                np.testing.assert_array_equal(shared[i], alone)
-                alone = kernel_eval(k, xi, xbar, own_rows[i], output=output)
-                np.testing.assert_array_equal(own[i], alone)
 
 
 class TestKernelWigner:
