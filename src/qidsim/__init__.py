@@ -42,10 +42,7 @@ from .cv_gaussian import (
     output_wigner,
     qid_symplectic,
     regularized_epr,
-    regularized_p0,
-    regularized_x0,
     solve_cv_beta,
-    thermal_reduction,
 )
 
 __version__ = "0.1.0"

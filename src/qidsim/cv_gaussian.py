@@ -51,9 +51,9 @@ cloner structure of N. J. Cerf, J. Mod. Opt. 47, 187 (2000)).  The
 read-only (amp, var, twist) table of :func:`_kernel_table`, cached per xi,
 is the only place that knows the kernels: output 2's rows are output 1's
 with kernels 1 and 2 swapped and phase space stretched by s = sqrt(2),
-i.e. (2 amp, var / 2, 2 twist).  The kernel K, its Wigner function W, W's
-Fourier transform chi, its width sigma = sqrt(var) and its vacuum overlap
-are each one expression on a row, and :func:`_kernel_form` looks one up.
+i.e. (2 amp, var / 2, 2 twist).  The kernel K, W's Fourier transform chi,
+its width sigma = sqrt(var) and its vacuum overlap are each one expression
+on a row, and :func:`_kernel_form` looks one up.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ __all__ = [
     "apply_symplectic",
     "transpose_gaussian",
     "gaussian_fidelity",
-    "regularized_x0",
-    "regularized_p0",
     "regularized_epr",
-    "thermal_reduction",
     "x0_wavefunction",
     "p0_wavefunction",
     "epr_wavefunction",
@@ -91,7 +88,6 @@ __all__ = [
     "k3_total_weight",
     "kernel_eval",
     "kernel_norm_expected",
-    "kernel_wigner_value",
     "kernel_characteristic",
     "convolve_with_kernel",
     "output_wigner",
@@ -419,21 +415,6 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def regularized_x0(xi: float) -> GaussianState:
-    """Squeezed surrogate of the zero-position eigenstate.
-
-    Variances: Var(x) = e^{-2 xi}/2, Var(p) = e^{2 xi}/2.
-    """
-    a, b = _ab(_as_xi(xi))
-    return GaussianState(np.zeros(2), np.diag([b / 2, a / 2]))
-
-
-def regularized_p0(xi: float) -> GaussianState:
-    """Squeezed surrogate of the zero-momentum eigenstate."""
-    a, b = _ab(_as_xi(xi))
-    return GaussianState(np.zeros(2), np.diag([a / 2, b / 2]))
-
-
 def regularized_epr(xi: float) -> GaussianState:
     """Two-mode squeezed vacuum: Var(x1 - x2) = Var(p1 + p2) = e^{-2 xi}."""
     xi = _as_xi(xi)
@@ -449,19 +430,17 @@ def regularized_epr(xi: float) -> GaussianState:
     return GaussianState(np.zeros(4), cov)
 
 
-def thermal_reduction(xi: float) -> GaussianState:
-    """One mode of the two-mode squeezed vacuum: thermal with nbar = sinh^2 xi."""
-    return regularized_epr(xi).reduce(0)
-
-
 def x0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
-    """Wavefunction of :func:`regularized_x0` (integral |phi|^2 dx = sqrt(2 pi))."""
+    """Wavefunction of the squeezed surrogate of the zero-position
+    eigenstate, Var(x) = e^{-2 xi}/2 and Var(p) = e^{2 xi}/2 (integral
+    |phi|^2 dx = sqrt(2 pi))."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(xi / 2) * np.exp(-math.exp(2 * xi) * np.asarray(x) ** 2 / 2)
 
 
 def p0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
-    """Wavefunction of :func:`regularized_p0`."""
+    """Wavefunction of the squeezed surrogate of the zero-momentum
+    eigenstate, Var(x) = e^{2 xi}/2 and Var(p) = e^{-2 xi}/2."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(-xi / 2) * np.exp(-math.exp(-2 * xi) * np.asarray(x) ** 2 / 2)
 
@@ -555,37 +534,26 @@ def kernel_eval(
 
     on the kernel's (amp, var, twist).  The cross kernel's cosh, the even
     part of exp(+-var twist xbar eta), is what direct quadrature of the
-    defining integral yields.
+    defining integral yields.  It is 1 wherever the shear var twist xbar is
+    0, as for the Gaussian kernels (twist 0) and at xbar = 0, so it is taken
+    only when the shear is nonzero or NaN at some xbar; without it a kernel
+    is its limit 0 at |eta| = inf.
     """
     amp, var, twist = _kernel_form(which, xi, output)
     xbar = np.asarray(xbar, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    return (
+    kernel = (
         amp * math.sqrt(var)
         * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
-        * np.cosh(var * twist * xbar * eta)
     )
+    shear = var * twist * xbar
+    return kernel * np.cosh(shear * eta) if shear.any() else kernel
 
 
 def kernel_norm_expected(which: int, xi: float) -> float:
     """Expected value of (1/sqrt(2 pi)) * integral K(0; eta) d eta."""
     which = _check_which(which)
     return 1.0 if which in (1, 2) else k3_total_weight(xi)
-
-
-def kernel_wigner_value(
-    which: int, xi: float, x: np.ndarray, p: np.ndarray, output: int = 1
-) -> np.ndarray:
-    """Closed-form Wigner functions of the reduction kernels,
-    amp * exp(-(x^2 + p^2) / (2 var)) * cos(twist * x * p).
-
-    The Gaussian kernels (twist 0) are isotropic Gaussians; the cross
-    kernel's cosine may dip negative.
-    """
-    amp, var, twist = _kernel_form(which, xi, output)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return amp * np.exp(-(x**2 + p**2) / (2 * var)) * np.cos(twist * x * p)
 
 
 def _kernel_factors(

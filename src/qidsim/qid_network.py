@@ -44,7 +44,9 @@ inside the (3, N, N) stack that is returned and one (N, N) spare slot, the
 only N x N-sized arrays a call allocates.  Output 3's kernels K are
 entries of Gram products of sheared columns of C (N^3 multiply-adds in
 BLAS matrix products: one N x N product for odd N, one N x N/2 product
-per column parity for even N), built in those same two arrays.
+per column parity for even N), built in those same two arrays and
+gathered from the products straight into the [v, delta] layout that
+mu3's transform over v reads.
 
 Outputs 1 and 2 are Weyl channels, rho -> sum_ab p_ab W_ab rho W_ab^dag over
 the shifts W_ab = X^a Z^b, with weights p = |S|^2 / N whose Fourier
@@ -303,18 +305,18 @@ class _ChannelTables(NamedTuple):
 
     ``rho_diag`` reads conj(psi) into rho's diagonals and ``diagonals`` the
     flattened program matrix C into output 1's rows; ``shear`` reads the
-    flattened C and ``gram`` the flattened Gram products into output 3's
-    kernels K, and ``third`` reads the flattened K into output 3's
-    multiplier.  ``back`` reads one flattened (N, N) plane of
-    :func:`distribute`, stored [x, delta], back into a matrix.  ``columns``
-    is the width of the Gram products' right factor.
+    flattened C into the Gram products' factors, and ``third`` reads the
+    flattened Gram products straight into output 3's kernels in the
+    multiplier's layout, K[delta, v + delta] at [v, delta].  ``back`` reads
+    one flattened (N, N) plane of :func:`distribute`, stored [x, delta],
+    back into a matrix.  ``columns`` is the width of the Gram products'
+    right factor.
     """
 
     rho_diag: np.ndarray
     diagonals: np.ndarray
     shear: np.ndarray
     columns: int
-    gram: np.ndarray
     third: np.ndarray
     back: np.ndarray
 
@@ -325,38 +327,40 @@ def _channel_tables(dim: int) -> _ChannelTables:
 
     The tables of the last dimension asked for are cached, like the gate of
     :func:`build_qid_unitary`, and stay held after :func:`distribute`
-    returns: int64 indices of 56 bytes per N² entry for even N and 48 for
-    odd N, which is 59 MB at N = 1024 and 0.9 GB at N = 4096.
+    returns: int64 indices of 48 bytes per N² entry for even N and 40 for
+    odd N, which is 50 MB at N = 1024 and 0.81 GB at N = 4096.
     """
     d = validate_dim(dim)
     x = np.arange(d)
     delta = x[:, None]
-    v_prime = (x - 2 * delta) % d
     # Output 3's sheared columns y_v[w] = C[w + s(v), v], gathered into the
     # left factor Z of each Gram product, whose right factor is Z's first
     # ``columns`` columns.  Odd N: one Z = [y_0 ... y_{N-1}].  Even N: one Z
     # per column parity p, [y_p, y_{p+2}, ... | the same rolled by N/2].
+    # ``third`` reads K[delta, u] = <y_{u'}, y_u> into [v, delta], where
+    # u = v + delta and u' = u - 2 delta = v - delta; its rows v are
+    # ``delta`` below and its columns delta are ``x``.
+    u, u_prime = (delta + x) % d, (delta - x) % d
     if d % 2:
         columns = d
         shift = x * ((d + 1) // 2) % d
         col = x[None, None, :]
         offset = shift[col]
-        gram = v_prime * d + x
+        third = u_prime * d + u
     else:
         columns = half = d // 2
         shift = x // 2
         col = 2 * (x % half) + np.arange(2)[:, None, None]
         offset = shift[col] + half * (x >= half)
-        rolled = (shift - delta - shift[v_prime]) % d != 0
-        gram = (x % 2) * d * half + (v_prime // 2 + half * rolled) * half + x // 2
+        rolled = (shift[u] - x - shift[u_prime]) % d != 0
+        third = (u % 2) * d * half + (u_prime // 2 + half * rolled) * half + u // 2
     tables = _ChannelTables(
         # rho[x, x + delta] = psi[x] * conj(psi[x + delta]): rho's diagonal -delta
         rho_diag=(x + delta) % d,
         diagonals=x * d + (x - delta) % d,  # C[x, x - j]
         shear=((delta + offset) % d) * d + col,
         columns=columns,
-        gram=gram,
-        third=x * d + (delta + x) % d,  # K[delta, v + delta] at [v, delta]
+        third=third,
         back=delta * d + (x - delta) % d,  # out[a, b] reads [a, b - a]
     )
     for table in tables:
@@ -368,8 +372,9 @@ def _channel_tables(dim: int) -> _ChannelTables:
 def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """K[d, v] = sum_w C[w, v] * conj(C[w - d, v - 2d]), as entries of Gram
     products of sheared columns of C, built in place: ``out`` is a (3, N, N)
-    and ``spare`` an (N, N) complex array, both overwritten.  Returns K as
-    the view ``out[0]``.
+    and ``spare`` an (N, N) complex array, both overwritten.  Returns the
+    view ``out[0]``, holding K in output 3's multiplier layout: K[d, v + d]
+    at [v, d].
 
     With y_v[w] = C[w + s(v), v] and v' = v - 2d, K[d, v] = <y_{v'}, y_v>
     whenever s(v) - s(v') = d.  For odd N, s(v) = v (N+1)/2 halves v mod N,
@@ -380,8 +385,8 @@ def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray
     products, half the work of one over all pairs.
 
     The conjugated left factors fill slot 0 (and slot 1 for even N), the
-    right factors slot 2 and the Gram products ``spare``; K is read from
-    the products into slot 0.
+    right factors slot 2 and the Gram products ``spare``; one gather reads
+    K from the products into slot 0.
     """
     tables = _channel_tables(coeffs.shape[0])
     parts, d, columns = tables.shear.shape[0], coeffs.shape[0], tables.columns
@@ -390,7 +395,7 @@ def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray
     np.copyto(right, left[:, :, :columns])
     np.conjugate(left, out=left)
     np.matmul(left.swapaxes(1, 2), right, out=spare.reshape(parts, d, columns))
-    return np.take(spare, tables.gram, out=out[0], mode="clip")
+    return np.take(spare, tables.third, out=out[0], mode="clip")
 
 
 def _check_weyl_weights(squares: np.ndarray) -> None:
@@ -420,8 +425,9 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     The three outputs are Weyl multipliers, applied in one pass inside two
     arrays, the only N x N-sized ones a call allocates: the (3, N, N) stack
     that holds the outputs, and one (N, N) spare slot.  Output 3's kernels
-    are built in both, its multiplier sits in the spare, and the transform
-    of rho's diagonals and outputs 1 and 2's multipliers in the stack.  Each
+    are built in both and gathered into slot 0 in the multiplier's [v, delta]
+    layout, its multiplier sits in the spare, and the transform of rho's
+    diagonals and outputs 1 and 2's multipliers in the stack.  Each
     output is gathered into the stack slot before it, output 3 from the
     spare.  The returned operators are views of the stack, and the spare is
     the density checker's scratch.
@@ -444,12 +450,11 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     coeffs = ket.amplitudes.reshape(d, d)
     out = np.empty((3, d, d), dtype=complex)
     spare = np.empty((d, d), dtype=complex)
-    # Output 3's kernels K are built in both arrays and left in slot 0.  The
-    # spare then holds output 3's multiplier
+    # Output 3's kernels K are built in both arrays and left in slot 0,
+    # stored [v, delta].  The spare then holds output 3's multiplier
     # sum_v K_delta(v + delta) * exp(-2 pi i k v / N), stored [k, delta].
     kernels = _third_output_kernels(coeffs, out, spare)
-    np.take(kernels, tables.third, out=spare, mode="clip")
-    np.fft.fft(spare, axis=0, out=spare)
+    np.fft.fft(kernels, axis=0, out=spare)
     # Slot 0 holds rho's diagonals D[delta, x] = rho[x, x + delta], and
     # slots 1 and 2 the rows whose circular autocorrelations are G_j (the
     # diagonals C[x, x - j]) and H_j (the rows C[-j, u]); one FFT along x

@@ -1,13 +1,22 @@
-"""Test-only helpers: operators, index maps and entanglement and moment
-measures the library itself does not need, and numerical oracles for the
-third output's kernels, the closed-form kernel Wigner functions, the cross
-kernel's cosine sum and pointwise Gaussian Wigner functions."""
+"""Test-only helpers: operators, index maps, squeezed program states and
+entanglement and moment measures the library itself does not need, the
+closed-form kernel Wigner functions, and numerical oracles for the third
+output's kernels, the kernel Wigner functions, the cross kernel's cosine
+sum and pointwise Gaussian Wigner functions."""
 
 import math
 
 import numpy as np
 
-from qidsim.cv_gaussian import GaussianState, WignerGrid, kernel_eval
+from qidsim.cv_gaussian import (
+    GaussianState,
+    WignerGrid,
+    _ab,
+    _as_xi,
+    _kernel_form,
+    kernel_eval,
+    regularized_epr,
+)
 from qidsim.qid_network import PermutationGate
 from qidsim.qudit_core import (
     DensityOperator,
@@ -93,6 +102,42 @@ def third_output_kernels_by_loop(coeffs: np.ndarray) -> np.ndarray:
     for d in range(dim):
         kernels[d] = (coeffs * tiled[dim - d:2 * dim - d, 2 * (dim - d):3 * dim - 2 * d]).sum(axis=0)
     return kernels
+
+
+def regularized_x0(xi: float) -> GaussianState:
+    """Squeezed surrogate of the zero-position eigenstate.
+
+    Variances: Var(x) = e^{-2 xi}/2, Var(p) = e^{2 xi}/2.
+    """
+    a, b = _ab(_as_xi(xi))
+    return GaussianState(np.zeros(2), np.diag([b / 2, a / 2]))
+
+
+def regularized_p0(xi: float) -> GaussianState:
+    """Squeezed surrogate of the zero-momentum eigenstate."""
+    a, b = _ab(_as_xi(xi))
+    return GaussianState(np.zeros(2), np.diag([a / 2, b / 2]))
+
+
+def thermal_reduction(xi: float) -> GaussianState:
+    """One mode of the two-mode squeezed vacuum: thermal with nbar = sinh^2 xi."""
+    return regularized_epr(xi).reduce(0)
+
+
+def kernel_wigner_value(
+    which: int, xi: float, x: np.ndarray, p: np.ndarray, output: int = 1
+) -> np.ndarray:
+    """Closed-form Wigner functions of the reduction kernels,
+    amp * exp(-(x^2 + p^2) / (2 var)) * cos(twist * x * p), on the kernel's
+    row of the library's (amp, var, twist) table.
+
+    The Gaussian kernels (twist 0) are isotropic Gaussians; the cross
+    kernel's cosine may dip negative.
+    """
+    amp, var, twist = _kernel_form(which, xi, output)
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return amp * np.exp(-(x**2 + p**2) / (2 * var)) * np.cos(twist * x * p)
 
 
 def kernel_wigner_by_cosine_transform(

@@ -220,10 +220,11 @@ class TestDistribute:
         assert err.startswith("error: output 1 Weyl weights are not a probability distribution")
 
     def test_non_positive_output_3_ends_in_one_error_line(self, monkeypatch, capsys):
-        # the kernel K_0 = (1.5, -0.5, 0, 0) sends |0> to diag(1.5, -0.5, 0, 0)
+        # the kernel K_0 = (1.5, -0.5, 0, 0), at [v, 0], sends |0> to
+        # diag(1.5, -0.5, 0, 0)
         def kernels(coeffs, out, spare):
             out[0] = 0.0
-            out[0, 0, :2] = 1.5, -0.5
+            out[0, :2, 0] = 1.5, -0.5
             return out[0]
 
         monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)

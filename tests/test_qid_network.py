@@ -343,9 +343,12 @@ class TestDistribution:
         out = np.full((3, dim, dim), np.nan, dtype=complex)
         spare = np.full((dim, dim), np.nan, dtype=complex)
         kernels = _third_output_kernels(coeffs, out, spare)
-        # K is built in the caller's arrays, and returned as slot 0
+        # K is built in the caller's arrays, and returned as slot 0 in the
+        # multiplier's layout: K[delta, v + delta] at [v, delta]
         assert np.shares_memory(kernels, out[0])
-        gap = np.abs(kernels - oracle).max()
+        v, delta = np.indices((dim, dim))
+        expected = oracle[delta, (v + delta) % dim]
+        gap = np.abs(kernels - expected).max()
         assert gap <= 1e-13 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("dim", (64, 65))
@@ -408,6 +411,15 @@ class TestDistribution:
         for table in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0
+
+    @pytest.mark.parametrize("dim, width", ((64, 48), (65, 40)))
+    def test_index_tables_hold_width_bytes_per_entry(self, dim, width):
+        # int64 tables: rho_diag, diagonals, third and back of N^2 entries
+        # each, and shear of 2 N^2 for even N and N^2 for odd N; output 3's
+        # kernels are read straight from the Gram products
+        tables = _channel_tables(dim)
+        nbytes = sum(t.nbytes for t in tables if isinstance(t, np.ndarray))
+        assert nbytes == width * dim**2
 
     @pytest.mark.parametrize("dim", (63, 64, 65))
     def test_channel_equals_joint_oracle_at_large_n(self, dim):
@@ -500,10 +512,11 @@ class TestOutputCertificates:
 
     def test_distribute_factorises_output_3(self, monkeypatch):
         # K_0 = (1.5, -0.5, 0, ...) sends the basis input |0> to the Hermitian,
-        # unit-trace diag(1.5, -0.5, 0, ...), which only the factorisation catches
+        # unit-trace diag(1.5, -0.5, 0, ...), which only the factorisation
+        # catches; K_0(v) sits at [v, 0]
         def kernels(coeffs, out, spare):
             out[0] = 0.0
-            out[0, 0, :2] = 1.5, -0.5
+            out[0, :2, 0] = 1.5, -0.5
             return out[0]
 
         monkeypatch.setattr(qid_network, "_third_output_kernels", kernels)
@@ -534,6 +547,25 @@ class TestOutputCertificates:
             monkeypatch.setattr(np.fft, name, counted(name))
         distribute(psi, ket)
         assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "ifftn"]
+
+    @pytest.mark.parametrize("dim", (4, 5, 64))
+    def test_distribute_takes_seven_gathers(self, monkeypatch, dim):
+        # the sheared columns of C, output 3's kernels from the Gram
+        # products, rho's diagonals, output 1's program rows, and one gather
+        # back into each of the three output slots
+        rng = np.random.default_rng(dim)
+        psi, ket = haar_random_state((dim,), rng), haar_random_state((dim, dim), rng)
+        distribute(psi, ket)
+        calls = []
+        take = np.take
+
+        def counted(*args, **kwargs):
+            calls.append("take")
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        distribute(psi, ket)
+        assert len(calls) == 7
 
     @pytest.mark.parametrize("dim", (*range(2, 9), 64))
     def test_weights_certify_outputs_1_and_2(self, dim):

@@ -71,6 +71,16 @@ def test_exports_are_defined_and_listed():
         assert unlisted == [], node.module
 
 
+def test_test_references_stay_out_of_the_package():
+    # the squeezed single-mode states and the kernels' Wigner functions are
+    # test references, kept in tests/helpers.py: no command, acceptance
+    # check or library function reads them
+    qidsim = importlib.import_module("qidsim")
+    references = {"regularized_x0", "regularized_p0", "thermal_reduction", "kernel_wigner_value"}
+    for module in (qidsim, qidsim.cv_gaussian):
+        assert references.isdisjoint(vars(module)), module.__name__
+
+
 def _builds_kernel_forms(node: ast.AST) -> bool:
     """A call of _ab(...) or of math.cosh(2 * xi)."""
     if not isinstance(node, ast.Call):
@@ -100,7 +110,7 @@ def test_one_function_builds_kernel_forms():
         for func in ast.walk(tree)
         if isinstance(func, ast.FunctionDef) and any(map(_builds_kernel_forms, ast.walk(func)))
     }
-    programs = {"regularized_x0", "regularized_p0", "regularized_epr", "epr_wavefunction"}
+    programs = {"regularized_epr", "epr_wavefunction"}
     assert builders == {"_kernel_table"} | programs
 
 
