@@ -431,16 +431,14 @@ def regularized_epr(xi: float) -> GaussianState:
 
 
 def x0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
-    """Wavefunction of the squeezed surrogate of the zero-position
-    eigenstate, Var(x) = e^{-2 xi}/2 and Var(p) = e^{2 xi}/2 (integral
-    |phi|^2 dx = sqrt(2 pi))."""
+    """Wavefunction of the x-squeezed vacuum, Var(x) = e^{-2 xi}/2
+    (integral |phi|^2 dx = sqrt(2 pi))."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(xi / 2) * np.exp(-math.exp(2 * xi) * np.asarray(x) ** 2 / 2)
 
 
 def p0_wavefunction(xi: float, x: np.ndarray) -> np.ndarray:
-    """Wavefunction of the squeezed surrogate of the zero-momentum
-    eigenstate, Var(x) = e^{2 xi}/2 and Var(p) = e^{-2 xi}/2."""
+    """Wavefunction of the p-squeezed vacuum, Var(x) = e^{2 xi}/2."""
     xi = _as_xi(xi)
     return 2**0.25 * np.exp(-xi / 2) * np.exp(-math.exp(-2 * xi) * np.asarray(x) ** 2 / 2)
 
@@ -534,20 +532,16 @@ def kernel_eval(
 
     on the kernel's (amp, var, twist).  The cross kernel's cosh, the even
     part of exp(+-var twist xbar eta), is what direct quadrature of the
-    defining integral yields.  It is 1 wherever the shear var twist xbar is
-    0, as for the Gaussian kernels (twist 0) and at xbar = 0, so it is taken
-    only when the shear is nonzero or NaN at some xbar; without it a kernel
-    is its limit 0 at |eta| = inf.
+    defining integral yields.
     """
     amp, var, twist = _kernel_form(which, xi, output)
     xbar = np.asarray(xbar, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    kernel = (
+    return (
         amp * math.sqrt(var)
         * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
+        * np.cosh(var * twist * xbar * eta)
     )
-    shear = var * twist * xbar
-    return kernel * np.cosh(shear * eta) if shear.any() else kernel
 
 
 def kernel_norm_expected(which: int, xi: float) -> float:

@@ -11,8 +11,6 @@ import numpy as np
 from qidsim.cv_gaussian import (
     GaussianState,
     WignerGrid,
-    _ab,
-    _as_xi,
     _kernel_form,
     kernel_eval,
     regularized_epr,
@@ -104,19 +102,28 @@ def third_output_kernels_by_loop(coeffs: np.ndarray) -> np.ndarray:
     return kernels
 
 
+def _squeezed_variances(xi: float) -> tuple[float, float]:
+    """(e^{-2 xi}/2, e^{2 xi}/2), the narrow and wide quadrature variances
+    of the vacuum squeezed by a finite xi >= 0."""
+    xi = float(xi)
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ValueError(f"squeezing must be finite and nonnegative, got {xi}")
+    return math.exp(-2 * xi) / 2, math.exp(2 * xi) / 2
+
+
 def regularized_x0(xi: float) -> GaussianState:
     """Squeezed surrogate of the zero-position eigenstate.
 
     Variances: Var(x) = e^{-2 xi}/2, Var(p) = e^{2 xi}/2.
     """
-    a, b = _ab(_as_xi(xi))
-    return GaussianState(np.zeros(2), np.diag([b / 2, a / 2]))
+    narrow, wide = _squeezed_variances(xi)
+    return GaussianState(np.zeros(2), np.diag([narrow, wide]))
 
 
 def regularized_p0(xi: float) -> GaussianState:
     """Squeezed surrogate of the zero-momentum eigenstate."""
-    a, b = _ab(_as_xi(xi))
-    return GaussianState(np.zeros(2), np.diag([a / 2, b / 2]))
+    narrow, wide = _squeezed_variances(xi)
+    return GaussianState(np.zeros(2), np.diag([wide, narrow]))
 
 
 def thermal_reduction(xi: float) -> GaussianState:

@@ -350,39 +350,6 @@ class TestKernels:
         with pytest.raises(ValueError):
             kernel_eval(1, 0.5, 0.0, 0.0, output=3)
 
-    @pytest.mark.parametrize("xi", (0.0, 0.5, 3.0))
-    @pytest.mark.parametrize("output", (1, 2))
-    @pytest.mark.parametrize("which", (1, 2, 3))
-    def test_equals_the_form_with_its_cosh_factor(self, which, output, xi):
-        # the cosh factor is skipped only where it is exactly 1, so every
-        # value at finite (xbar, eta) keeps the bits of the full expression
-        amp, var, twist = cv_gaussian._kernel_form(which, xi, output)
-        rng = np.random.default_rng(9 * which + 3 * output)
-        eta = 3 * rng.standard_normal(40)
-        mixed = 3 * rng.standard_normal(40)
-        mixed[::4] = 0.0
-        for xbar in (0.0, np.zeros(40), mixed, 3 * rng.standard_normal((5, 1))):
-            full = (
-                amp * math.sqrt(var)
-                * np.exp(-var * np.square(xbar) / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
-                * np.cosh(var * twist * np.asarray(xbar) * eta)
-            )
-            got = kernel_eval(which, xi, xbar, eta, output=output)
-            assert got.shape == full.shape
-            assert got.tobytes() == full.tobytes()
-
-    @pytest.mark.parametrize("output", (1, 2))
-    @pytest.mark.parametrize("which", (1, 2, 3))
-    def test_unsheared_kernel_vanishes_at_infinite_eta(self, which, output):
-        # with no shear, at xbar = 0 or for the Gaussian kernels, the kernel
-        # is its limit 0 at |eta| = inf, with no 0 * inf warning; NaN in
-        # either slot still gives NaN
-        eta = np.array([-math.inf, math.inf, math.nan])
-        got = kernel_eval(which, 0.5, 0.0, eta, output=output)
-        assert got[:2].tolist() == [0.0, 0.0]
-        assert math.isnan(got[2])
-        assert math.isnan(kernel_eval(which, 0.5, math.nan, 1.0, output=output))
-
 
 class TestKernelWigner:
     def test_narrow_kernel_value_at_origin(self):
