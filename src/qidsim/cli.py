@@ -140,15 +140,15 @@ def _parse_dims(args) -> list[int]:
     return [2 if args.dim is None else args.dim]
 
 
-def _parse_input_spec(spec: str, dim: int, default_seed: int) -> tuple[PureState, int | None]:
-    """`random`, `random:<seed>` or an explicit comma-separated amplitude list."""
+def _parse_input_spec(spec: str, dim: int) -> tuple[PureState, int | None]:
+    """`random` (seed 0), `random:<seed>` or an explicit comma-separated amplitude list."""
     if spec.startswith("random"):
         name, colon, seed_text = spec.partition(":")
         if name != "random" or (colon and not seed_text.isdecimal()):
             raise _bad_option(
                 "--input", spec, "random or random:<seed> with a non-negative integer seed"
             )
-        seed = int(seed_text) if colon else default_seed
+        seed = int(seed_text) if colon else 0
         return haar_random_state((dim,), np.random.default_rng(seed)), seed
     try:
         amps = np.array([complex(tok) for tok in spec.split(",")])
@@ -224,7 +224,7 @@ def cmd_distribute(args) -> int:
     # the N^2 program draws nothing, so building it first fails an
     # impossible N before the input is drawn
     program = net.program_state(dim, args.alpha, beta)
-    psi, seed = _parse_input_spec(args.input, dim, args.seed)
+    psi, seed = _parse_input_spec(args.input, dim)
     sim = net.distribute(psi, program)
     # the simulated outputs are validated already, so the closed form is
     # compared by its two scalars per output, with no reference operator
@@ -448,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--input", default="random:0", help="'random:<seed>' or amplitude list")
-    p.add_argument("--seed", **seed)
     p.add_argument("--out", **out)
     p.set_defaults(func=cmd_distribute)
 

@@ -168,9 +168,6 @@ class Lattice:
         """Whether both axes sample the same points, as :meth:`centered`'s do."""
         return (self.x_min, self.x_max, self.n_x) == (self.p_min, self.p_max, self.n_p)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.x, self.p, indexing="ij")
-
     def same_lattice(self, other: "Lattice", tol: float = 1e-9) -> bool:
         return (
             self.n_x == other.n_x
@@ -211,10 +208,6 @@ class WignerGrid(Lattice):
         if vals.shape != (self.n_x, self.n_p):
             raise ValueError(f"values shape {vals.shape} != ({self.n_x}, {self.n_p})")
         self.values = vals
-
-    def total_mass(self) -> float:
-        """(1/2pi) * iint W dx dp by Riemann sum."""
-        return float(self.values.sum() * self.dx * self.dp / (2 * np.pi))
 
     @classmethod
     def centered(cls, half_width: float, n: int = 512) -> "WignerGrid":
@@ -299,12 +292,6 @@ class GaussianState:
     def coherent(cls, z: complex) -> "GaussianState":
         """Coherent state of amplitude z; mean quadratures sqrt(2)*(Re z, Im z)."""
         return cls(np.sqrt(2.0) * np.array([z.real, z.imag]), 0.5 * np.eye(2))
-
-    @classmethod
-    def thermal(cls, nbar: float) -> "GaussianState":
-        if nbar < 0:
-            raise ValueError("mean excitation must be nonnegative")
-        return cls(np.zeros(2), ((1 + 2 * nbar) / 2.0) * np.eye(2))
 
     @classmethod
     def from_position_quadratic_form(cls, m: np.ndarray) -> "GaussianState":
@@ -775,7 +762,7 @@ def output_overlaps(
     """((F1, mass1), (F2, mass2)) for the product input W[i, j] = u[i] v[j]
     on ``lattice``, a geometry only: each output's grid
     fidelity ``cv_fidelity(W, W_out)`` and its Riemann mass
-    ``W_out.total_mass()`` on the lattice, with W_out as
+    (1/2pi) * sum W_out dx dp on the lattice, with W_out as
     :func:`output_wigner` computes it, but without an output grid and
     without a 2-D FFT.
 

@@ -513,21 +513,6 @@ def _closed_form_coefficients(
     )
 
 
-def _closed_form_matrices(
-    dim: int, alpha: float, beta: float, psi: PureState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three matrices of :func:`predicted_outputs`, without the
-    :class:`DensityOperator` checks."""
-    coefficients = _closed_form_coefficients(dim, alpha, beta)
-    if psi.dims != (dim,):
-        raise ValueError("psi must be a single register of the given dimension")
-    rho_in = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    eye = np.eye(dim)
-    return tuple(
-        s * rho + e * eye for rho, (s, e) in zip((rho_in, rho_in, rho_in.T), coefficients)
-    )
-
-
 def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> DistributorOutput:
     """Closed-form reduced outputs for the two-parameter program family.
 
@@ -535,9 +520,13 @@ def predicted_outputs(dim: int, alpha: float, beta: float, psi: PureState) -> Di
     rho2 = (b^2 + 2ab/N) rho_in + (a^2/N) 1
     rho3 = (2ab/N) rho_in^T + ((N - 2ab)/N^2) 1
     """
-    return DistributorOutput(
-        *(DensityOperator((dim,), rho) for rho in _closed_form_matrices(dim, alpha, beta, psi))
-    )
+    coefficients = _closed_form_coefficients(dim, alpha, beta)
+    if psi.dims != (dim,):
+        raise ValueError("psi must be a single register of the given dimension")
+    rho_in = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    eye = np.eye(dim)
+    rhos = (s * rho + e * eye for rho, (s, e) in zip((rho_in, rho_in, rho_in.T), coefficients))
+    return DistributorOutput(*(DensityOperator((dim,), rho) for rho in rhos))
 
 
 def scaling_factor(dim: int) -> float:

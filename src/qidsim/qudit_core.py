@@ -4,9 +4,7 @@ The computational basis throughout is the position-like ``x``-basis.
 Multi-register amplitude vectors are stored register-major: the basis
 label ``(k1, k2, ..., kr)`` sits at flat index
 ``k1*(N2*...*Nr) + k2*(N3*...*Nr) + ... + kr``, i.e. C-order of a
-reshape to ``dims``.  Global phases are never stripped; state equality
-is tested up to a single global phase via
-:meth:`PureState.distance_up_to_phase`.
+reshape to ``dims``.  Global phases are never stripped.
 """
 
 from __future__ import annotations
@@ -99,28 +97,6 @@ class PureState:
             raise ValueError(f"register mismatch: {self.dims} vs {other.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def distance_up_to_phase(self, other: "PureState") -> float:
-        """Euclidean distance after aligning the optimal global phase."""
-        ov = self.overlap(other)
-        phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-        return float(np.linalg.norm(self.amplitudes - other.amplitudes / phase))
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    @classmethod
-    def basis(cls, dims: Sequence[int], labels: Sequence[int]) -> "PureState":
-        """Computational basis state |labels[0], labels[1], ...>."""
-        dims = tuple(dims)
-        if len(labels) != len(dims):
-            raise ValueError("one label per register required")
-        for lab, d in zip(labels, dims):
-            if not 0 <= lab < d:
-                raise ValueError(f"label {lab} out of range for dimension {d}")
-        amps = np.zeros(int(np.prod(dims)), dtype=complex)
-        amps[int(np.ravel_multi_index(tuple(labels), dims))] = 1.0
-        return cls(dims, amps)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PureState(dims={self.dims})"
 
@@ -211,10 +187,6 @@ class DensityOperator:
         rho.matrix = matrix
         return rho
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityOperator(dims={self.dims})"
 
@@ -235,21 +207,6 @@ class Operator:
             if not (err <= ATOL_EXACT):
                 raise ValueError(f"operator is not unitary: |U^dag U - 1| = {err:.3e}")
         self.matrix = mat
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    def apply(self, state: PureState) -> PureState:
-        """Apply to a state spanning exactly the operator's registers."""
-        if state.dims != self.dims:
-            raise ValueError(f"register mismatch: {state.dims} vs {self.dims}")
-        return PureState(state.dims, self.matrix @ state.amplitudes)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dims != other.dims:
-            raise ValueError("register mismatch in operator product")
-        return Operator(self.dims, self.matrix @ other.matrix)
 
 
 def fourier_operator(dim: int) -> Operator:
@@ -275,9 +232,9 @@ def shift_x(dim: int, n: int) -> Operator:
 def shift_p(dim: int, m: int) -> Operator:
     """Momentum shift, diagonal in the x-basis: exp(2*pi*i*m*l/N) on |x_l>.
 
-    Together with :func:`shift_x` these satisfy the Weyl commutation
-    relation ``shift_p(m) @ shift_x(n) = exp(2*pi*i*m*n/N) * shift_x(n) @
-    shift_p(m)``.
+    Together with :func:`shift_x` their matrices satisfy the Weyl commutation
+    relation ``Z^m X^n = exp(2*pi*i*m*n/N) * X^n Z^m``, with Z^m =
+    ``shift_p(m)`` and X^n = ``shift_x(n)``.
     """
     d = validate_dim(dim)
     mat = np.diag(np.exp(2j * np.pi * int(m) * np.arange(d) / d))

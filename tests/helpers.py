@@ -1,8 +1,10 @@
-"""Test-only helpers: operators, index maps, squeezed program states and
-entanglement and moment measures the library itself does not need, the
-closed-form kernel Wigner functions, and numerical oracles for the third
-output's kernels, the kernel Wigner functions, the cross kernel's cosine
-sum and pointwise Gaussian Wigner functions."""
+"""Test-only helpers: basis states, the phase-blind state distance,
+operators, index maps, squeezed program states, lattice meshgrids, the
+Riemann mass of a Wigner grid and entanglement and moment measures the
+library itself does not need, the closed-form kernel Wigner functions, and
+numerical oracles for the third output's kernels, the kernel Wigner
+functions, the cross kernel's cosine sum and pointwise Gaussian Wigner
+functions."""
 
 import math
 
@@ -10,6 +12,7 @@ import numpy as np
 
 from qidsim.cv_gaussian import (
     GaussianState,
+    Lattice,
     WignerGrid,
     _kernel_form,
     kernel_eval,
@@ -24,6 +27,26 @@ from qidsim.qudit_core import (
     partial_trace,
     validate_dim,
 )
+
+
+def basis_state(dims: tuple[int, ...], labels: tuple[int, ...]) -> PureState:
+    """Computational basis state |labels[0], labels[1], ...>."""
+    dims = tuple(dims)
+    if len(labels) != len(dims):
+        raise ValueError("one label per register required")
+    for lab, d in zip(labels, dims):
+        if not 0 <= lab < d:
+            raise ValueError(f"label {lab} out of range for dimension {d}")
+    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps[int(np.ravel_multi_index(tuple(labels), dims))] = 1.0
+    return PureState(dims, amps)
+
+
+def distance_up_to_phase(a: PureState, b: PureState) -> float:
+    """Euclidean distance of two states after aligning the optimal global phase."""
+    ov = a.overlap(b)
+    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
+    return float(np.linalg.norm(a.amplitudes - b.amplitudes / phase))
 
 
 def x_operator(dim: int) -> Operator:
@@ -68,9 +91,20 @@ def output_negativity(joint: PureState, pair: tuple[int, int] = (0, 1)) -> float
     return negativity(partial_trace(joint, pair), sys=1)
 
 
+def meshgrid(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """(x, p) coordinates of every point of ``lattice``, each of shape (n_x, n_p)."""
+    return np.meshgrid(lattice.x, lattice.p, indexing="ij")
+
+
+def grid_mass(grid: WignerGrid) -> float:
+    """(1/2pi) * iint W dx dp by Riemann sum: the reference for the masses
+    that ``output_overlaps`` reads off the spectrum."""
+    return float(grid.values.sum() * grid.dx * grid.dp / (2 * np.pi))
+
+
 def grid_moments(grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     """(mean, covariance) of a Wigner grid treated as a distribution."""
-    xg, pg = grid.meshgrid()
+    xg, pg = meshgrid(grid)
     w = grid.values / grid.values.sum()
     mean = np.array([(xg * w).sum(), (pg * w).sum()])
     dxg, dpg = xg - mean[0], pg - mean[1]

@@ -250,18 +250,18 @@ class TestCovariance:
 
     def test_one_unshifted_run_per_trial_and_no_dense_products(self, capsys, monkeypatch):
         # a trial runs the distributor once unshifted and once per (n, m)
-        # pair, and shifts by index, never by a dense operator product
+        # pair, and shifts by index: it builds no dense Operator at all
         exact, calls = qid_network.distribute, []
 
         def counted(psi, program):
             calls.append(psi.dim)
             return exact(psi, program)
 
-        def no_products(self, other):
-            raise AssertionError("dense Operator product")
+        def no_operators(self, *args, **kwargs):
+            raise AssertionError("dense Operator built")
 
         monkeypatch.setattr(qid_network, "distribute", counted)
-        monkeypatch.setattr(Operator, "__matmul__", no_products)
+        monkeypatch.setattr(Operator, "__init__", no_operators)
         code, out, err = run_cli(capsys, "covariance", "--dim", "3", "--trials", "2")
         assert (code, err) == (0, "")
         assert json.loads(out)["max_deviation"] <= 1e-15
@@ -830,6 +830,8 @@ class TestBadInput:
             ("clone", "--dim", "2", "--dim-range", "3:4"),
             ("teleport",),
             (),
+            # distribute's seed is the one in --input random:<seed>
+            ("distribute", "--dim", "3", "--alpha", "0.5", "--seed", "5"),
         ),
     )
     def test_argparse_rejections_take_the_error_line(self, capsys, argv):
@@ -920,7 +922,7 @@ def test_worst_keeps_its_rule(values, data):
     "command, options",
     (
         ("clone", ["--dim", "--dim-range", "--seed", "--out", "--format"]),
-        ("distribute", ["--dim", "--alpha", "--input", "--seed", "--out"]),
+        ("distribute", ["--dim", "--alpha", "--input", "--out"]),
         ("covariance", ["--dim", "--trials", "--seed", "--out"]),
         ("cv", ["--xi", "--alpha", "--grid", "--dump-wigner", "--out", "--format"]),
         ("coherent-clone", ["--displacement", "--out"]),

@@ -43,9 +43,11 @@ from qidsim.cv_gaussian import (
 from helpers import (
     cosine_sum_by_matrix,
     gaussian_wigner_at,
+    grid_mass,
     grid_moments,
     kernel_wigner_by_cosine_transform,
     kernel_wigner_value,
+    meshgrid,
     regularized_p0,
     regularized_x0,
     thermal_reduction,
@@ -184,7 +186,7 @@ class TestRegularizedStates:
         xi = 0.7
         a, b = math.exp(2 * xi), math.exp(-2 * xi)
         grid = WignerGrid.centered(5.0, 161)
-        xg, pg = grid.meshgrid()
+        xg, pg = meshgrid(grid)
         sampled = regularized_x0(xi).wigner_grid(grid)
         assert np.abs(sampled.values - 2 * np.exp(-a * xg**2 - b * pg**2)).max() < 1e-8
         sampled_p = regularized_p0(xi).wigner_grid(grid)
@@ -358,8 +360,8 @@ class TestKernelWigner:
     def test_thermal_kernel_normalisation_by_grid(self):
         xi = 1.0
         grid = WignerGrid.centered(8 * math.sqrt(math.cosh(2 * xi)), 401)
-        sampled = grid.like(kernel_wigner_value(2, xi, *grid.meshgrid()))
-        assert abs(sampled.total_mass() - 1.0) < 1e-6
+        sampled = grid.like(kernel_wigner_value(2, xi, *meshgrid(grid)))
+        assert abs(grid_mass(sampled) - 1.0) < 1e-6
 
     def test_kernel_grids_match_cosine_transform(self):
         # the closed forms, output 2's derived ones included, against a
@@ -369,7 +371,7 @@ class TestKernelWigner:
         grid = WignerGrid.centered(9.0, 241)
         for output in (1, 2):
             for which in (1, 2, 3):
-                sampled = kernel_wigner_value(which, xi, *grid.meshgrid(), output=output)
+                sampled = kernel_wigner_value(which, xi, *meshgrid(grid), output=output)
                 numeric = kernel_wigner_by_cosine_transform(which, xi, grid, output=output).values
                 assert np.abs(sampled - numeric).max() < 1e-12 * np.abs(numeric).max()
 
@@ -379,8 +381,8 @@ class TestKernelWigner:
                 2 * (1 + math.exp(-4 * xi)) / (math.exp(2 * xi) + 3 * math.exp(-2 * xi))
             )
             grid = WignerGrid.centered(8 * max(sig, 0.5), 321)
-            sampled = grid.like(kernel_wigner_value(3, xi, *grid.meshgrid()))
-            assert abs(sampled.total_mass() - k3_total_weight(xi)) < 1e-6
+            sampled = grid.like(kernel_wigner_value(3, xi, *meshgrid(grid)))
+            assert abs(grid_mass(sampled) - k3_total_weight(xi)) < 1e-6
 
     def test_cross_kernel_weight_decays_with_squeezing(self):
         # the asymptotic weight is 4*sqrt(2)*e^{-2 xi}
@@ -418,7 +420,7 @@ class TestKernelWigner:
 def direct_convolution(grid: WignerGrid, which: int, xi: float, output: int = 1) -> np.ndarray:
     """O(n^4) real-space summation against the closed-form kernel Wigner
     function; the oracle for the Fourier-space path."""
-    xg, pg = grid.meshgrid()
+    xg, pg = meshgrid(grid)
     out = np.zeros_like(grid.values)
     for i, x in enumerate(grid.x):
         for j, p in enumerate(grid.p):
@@ -479,7 +481,7 @@ class TestOutputWigner:
         grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
         for output in (1, 2):
             out = output_wigner(grid, xi, alpha, beta, output=output)
-            assert abs(out.total_mass() - 1.0) < 1e-9
+            assert abs(grid_mass(out) - 1.0) < 1e-9
 
     def test_gaussian_kernels_reproduce_gaussian_convolution(self):
         xi = 1.0
@@ -515,7 +517,7 @@ class TestOutputWigner:
         grid = VACUUM.wigner_grid(WignerGrid.centered(suggested_half_width(xi), 512))
         for output in (1, 2):
             out = output_wigner(grid, xi, alpha, beta, output=output)
-            assert abs(out.total_mass() - 1.0) < 1e-4
+            assert abs(grid_mass(out) - 1.0) < 1e-4
 
     def test_output_fidelities_match_three_mode_quadrature(self):
         # frozen oracle values from output_fidelity_by_quadrature at
@@ -582,7 +584,7 @@ class TestOutputWigner:
 def overlaps_in_real_space(grid, xi, alpha, beta):
     """((F1, mass1), (F2, mass2)) from the output grids themselves."""
     outs = [output_wigner(grid, xi, alpha, beta, output=k) for k in (1, 2)]
-    return tuple((cv_fidelity(grid, out), out.total_mass()) for out in outs)
+    return tuple((cv_fidelity(grid, out), grid_mass(out)) for out in outs)
 
 
 def sampled_factors(state, lattice):
@@ -663,7 +665,7 @@ class TestOutputOverlaps:
                 for k, w in weights.items()
             )
             out = irfft2(spectrum * chi, s=shape)[: grid.n_x, : grid.n_p] / (2 * np.pi)
-            want.append((cv_fidelity(grid, grid.like(out)), grid.like(out).total_mass()))
+            want.append((cv_fidelity(grid, grid.like(out)), grid_mass(grid.like(out))))
         got = output_overlaps(lattice, u, v, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
@@ -872,7 +874,7 @@ class TestNextFastLen:
 class TestWignerGrid:
     def test_vacuum_mass(self):
         grid = VACUUM.wigner_grid(WignerGrid.centered(6.0, 301))
-        assert abs(grid.total_mass() - 1.0) < 1e-9
+        assert abs(grid_mass(grid) - 1.0) < 1e-9
 
     def test_correlated_state_matches_pointwise_wigner(self):
         # x-p correlation adds the exp(-S^-1_01 dx dp) factor to the product
@@ -1027,10 +1029,12 @@ class TestGaussianFidelity:
         assert abs(gaussian_fidelity(VACUUM, noisy) - 2 / 3) < 1e-12
 
     def test_symmetric_and_identical_mixed(self):
-        a = GaussianState.thermal(1.0)
+        # thermal states with mean excitation 1: covariance (1 + 2 nbar)/2 * 1
+        a = GaussianState(np.zeros(2), 1.5 * np.eye(2))
         b = GaussianState(np.array([0.3, 0.1]), 0.8 * np.eye(2))
         assert abs(gaussian_fidelity(a, b) - gaussian_fidelity(b, a)) < 1e-12
-        assert abs(gaussian_fidelity(a, GaussianState.thermal(1.0)) - 1.0) < 1e-12
+        same = GaussianState(np.zeros(2), 1.5 * np.eye(2))
+        assert abs(gaussian_fidelity(a, same) - 1.0) < 1e-12
 
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
@@ -1125,7 +1129,7 @@ class TestCoherentCloner:
 
     def test_rejects_non_coherent_input(self):
         with pytest.raises(ValueError):
-            coherent_cloner(GaussianState.thermal(1.0))
+            coherent_cloner(GaussianState(np.zeros(2), 1.5 * np.eye(2)))
         with pytest.raises(ValueError):
             coherent_cloner(regularized_epr(0.5))
 

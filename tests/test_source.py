@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qidsim").glob("*.py"))
@@ -186,3 +187,58 @@ def test_every_command_ends_in_one_finish():
     }
     assert callers["_finish"] and callers["main"]
     assert sorted(callers["_finish"] + callers["main"]) == sorted(fails)
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute, ``<expr>.<name>``."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_member_has_a_reader():
+    # the public API covers what the package, the acceptance checks and the
+    # benchmark read: every method, property and classmethod of a public
+    # class is read as an attribute somewhere in the package outside its own
+    # body, in tests/test_acceptance.py, or in qidbench, whose tracer names
+    # what it wraps as "<module>.<class>.<method>" text in GROUPS.  Members a
+    # test alone reads belong in tests/helpers.py.  The check goes by name,
+    # so it cannot see a member named like something else that is read
+    # (Operator.apply beside PermutationGate.apply, Lattice.meshgrid beside
+    # np.meshgrid, Operator.dim beside PureState.dim) or a dunder method such
+    # as Operator.__matmul__, which the @ operator reaches: those are found
+    # by hand
+    root = SOURCES[0].parents[2]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    in_package = sum(map(_attribute_reads, trees.values()), Counter())
+    elsewhere = _attribute_reads(ast.parse((root / "tests" / "test_acceptance.py").read_text()))
+    for path in sorted((root / "qidbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        elsewhere += _attribute_reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and "GROUPS" in map(ast.unparse, node.targets):
+                elsewhere.update(
+                    const.value.rsplit(".", 1)[-1]
+                    for const in ast.walk(node.value)
+                    if isinstance(const, ast.Constant) and isinstance(const.value, str)
+                )
+    unread = []
+    for path, tree in trees.items():
+        module = importlib.import_module(f"qidsim.{path.stem}")
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            for member in cls.body:
+                if (
+                    not isinstance(member, ast.FunctionDef)
+                    or member.name.startswith("_")
+                    or any(member.name in vars(base) for base in bases)
+                ):
+                    continue
+                own = _attribute_reads(member)[member.name]
+                if in_package[member.name] == own and member.name not in elsewhere:
+                    unread.append(f"{cls.name}.{member.name}")
+    assert unread == []
