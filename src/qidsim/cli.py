@@ -311,6 +311,9 @@ def _vacuum() -> cv.GaussianState:
 
 
 def cmd_cv(args) -> int:
+    # an empty stem would read as no --dump-wigner and write nothing
+    if args.dump_wigner == "":
+        raise _bad_option("--dump-wigner", args.dump_wigner, "a non-empty file stem")
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
     cap = DUMP_GRID_MAX if args.dump_wigner else GRID_MAX
@@ -346,7 +349,7 @@ def cmd_cv(args) -> int:
         if xi <= cv.XI_GRID_MAX:
             # the vacuum input is u(x) v(p) on the lattice; a 2-D grid is
             # sampled only to be convolved and written out
-            lattice = cv.Lattice.centered(cv.suggested_half_width(xi), args.grid)
+            lattice = cv.Lattice(cv.suggested_half_width(xi), args.grid)
             u, v = vacuum.wigner_factors(lattice)
             (row["F1"], mass1), (row["F2"], mass2) = cv.output_overlaps(
                 lattice, u, v, xi, alpha, beta
@@ -357,7 +360,7 @@ def cmd_cv(args) -> int:
                 _dump_wigner_grid(cv.output_wigner(grid, xi, alpha, beta, output=1), xi, args)
             # a lattice too coarse or too small for the input or the
             # broadened outputs loses mass, and its fidelities are wrong
-            mass_in = float(u.sum() * v.sum() * lattice.dx * lattice.dp / (2 * np.pi))
+            mass_in = float(u.sum() * v.sum() * lattice.dx**2 / (2 * np.pi))
             mass_error = _worst(abs(m - 1.0) for m in (mass_in, mass1, mass2))
             unresolved = f"--grid {args.grid} cannot resolve xi={xi}:"
             gates.append(

@@ -25,19 +25,18 @@ has the product Wigner function u(x) v(p) (:meth:`GaussianState.wigner_factors`)
 and the Gaussian kernels' characteristic functions factor into kx and kp
 parts; only the cross kernel's cos(twist kx kp / det) does not.
 :func:`output_overlaps` therefore is given only the factors and the
-lattice's geometry (a :class:`Lattice`).  It takes one padded real FFT of
-the stacked factors and the lattice's indicator, shared by both outputs
-and, on a square lattice such as ``qidsim cv`` samples, by both axes (a
-rectangular lattice takes one per axis).  It reads each output as a
-Parseval inner product: a product of 1-D sums per Gaussian kernel, all of
-them from one matrix product per axis, and for the cross kernel a double
-sum with the phase c kx kp on two uniform frequency grids, which is a
-chirp-z transform done as an FFT convolution (:func:`_cosine_sum`), one
-forward and one inverse FFT for both outputs.  A grid row so takes three
-FFT calls on a square lattice and four on a rectangular one.  No (kx x kp)
-array is built for a grid row; a 2-D grid is built only to be convolved
-and written out.  Every transform is
-``numpy.fft``'s, zero padded to a length whose prime factors are all small
+lattice's geometry (a :class:`Lattice`: the centred square that every
+command samples, so both axes share their points).  It takes one padded
+real FFT of the stacked factors and the lattice's indicator, shared by
+both outputs and both axes.  It reads each output as a Parseval inner
+product: a product of 1-D sums per Gaussian kernel, all of them from one
+matrix product per axis, and for the cross kernel a double sum with the
+phase c kx kp on the uniform frequency grid, which is a chirp-z transform
+done as an FFT convolution (:func:`_cosine_sum`), one forward and one
+inverse FFT for both outputs.  A grid row so takes three FFT calls.  No
+(kx x kp) array is built for a grid row; a 2-D grid is built only to be
+convolved and written out.  Every transform is ``numpy.fft``'s, zero
+padded to a length whose prime factors are all small
 (:func:`_next_fast_len`), so the library needs no scipy.  A squeezing strength
 ``xi`` is a plain float; every entry point rejects one that is negative or
 not finite.
@@ -61,7 +60,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,73 +130,42 @@ def _ab(xi: float) -> tuple[float, float]:
 
 @dataclass
 class Lattice:
-    """Rectangular (x, p) sampling lattice, both axes inclusive of their
-    endpoints: the geometry of a :class:`WignerGrid` without its values."""
+    """Square (x, p) sampling lattice over [-half_width, half_width]^2 with
+    ``n`` points per axis, both ends included: the geometry of a
+    :class:`WignerGrid` without its values."""
 
-    x_min: float
-    x_max: float
-    p_min: float
-    p_max: float
-    n_x: int
-    n_p: int
+    half_width: float
+    n: int
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_p < 2:
+        if self.n < 2:
             raise ValueError("grids need at least two points per axis")
-        if not (self.x_max > self.x_min and self.p_max > self.p_min):
-            raise ValueError("empty grid range")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half-width must be finite and positive, got {self.half_width}")
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_x - 1)
-
-    @property
-    def dp(self) -> float:
-        return (self.p_max - self.p_min) / (self.n_p - 1)
+        """Step of both axes."""
+        return 2 * self.half_width / (self.n - 1)
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
-
-    @property
-    def square(self) -> bool:
-        """Whether both axes sample the same points, as :meth:`centered`'s do."""
-        return (self.x_min, self.x_max, self.n_x) == (self.p_min, self.p_max, self.n_p)
-
-    def same_lattice(self, other: "Lattice", tol: float = 1e-9) -> bool:
-        return (
-            self.n_x == other.n_x
-            and self.n_p == other.n_p
-            and abs(self.x_min - other.x_min) < tol
-            and abs(self.x_max - other.x_max) < tol
-            and abs(self.p_min - other.p_min) < tol
-            and abs(self.p_max - other.p_max) < tol
-        )
+        """Sample points of both axes."""
+        return np.linspace(-self.half_width, self.half_width, self.n)
 
     def like(self, values: np.ndarray) -> "WignerGrid":
         """A :class:`WignerGrid` of ``values`` on this lattice."""
-        return WignerGrid(
-            self.x_min, self.x_max, self.p_min, self.p_max, self.n_x, self.n_p, values
-        )
-
-    @classmethod
-    def centered(cls, half_width: float, n: int = 512) -> "Lattice":
-        """Square lattice over [-half_width, half_width]^2."""
-        return cls(-half_width, half_width, -half_width, half_width, n, n)
+        return WignerGrid(self.half_width, self.n, values)
 
 
 @dataclass
 class WignerGrid(Lattice):
-    """Real-valued quasi-probability sampled on a rectangular (x, p) lattice.
+    """Real-valued quasi-probability sampled on a square (x, p) lattice.
 
-    ``values[i, j]`` is W(x[i], p[j]) with both axes inclusive of their
-    endpoints.  Integrals are plain Riemann sums with the dx dp / 2pi
-    measure; ranges are meant to be generous enough (several sigma) that
-    tail truncation is negligible.
+    ``values[i, j]`` is W(x[i], x[j]): the x axis first, then the p axis,
+    which samples the same points.  Integrals are plain Riemann sums with
+    the dx dp / 2pi measure; ranges are meant to be generous enough
+    (several sigma) that tail truncation is negligible.
     """
 
     values: np.ndarray = field(repr=False)
@@ -205,32 +173,33 @@ class WignerGrid(Lattice):
     def __post_init__(self):
         super().__post_init__()
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n_x, self.n_p):
-            raise ValueError(f"values shape {vals.shape} != ({self.n_x}, {self.n_p})")
+        if vals.shape != (self.n, self.n):
+            raise ValueError(f"values shape {vals.shape} != ({self.n}, {self.n})")
         self.values = vals
 
     @classmethod
-    def centered(cls, half_width: float, n: int = 512) -> "WignerGrid":
+    def centered(cls, half_width: float, n: int) -> "WignerGrid":
         """Square lattice over [-half_width, half_width]^2, all zeros."""
-        return Lattice.centered(half_width, n).like(np.zeros((n, n)))
+        return Lattice(half_width, n).like(np.zeros((n, n)))
 
     def to_csv(self, stream) -> None:
         """(x, p, value) triples, comma separated, 17 significant digits."""
         stream.write("x,p,value\n")
-        xs, ps = self.x, self.p
-        for i in range(self.n_x):
-            for j in range(self.n_p):
-                stream.write(f"{xs[i]:.17g},{ps[j]:.17g},{self.values[i, j]:.17g}\n")
+        xs = self.x
+        for i in range(self.n):
+            for j in range(self.n):
+                stream.write(f"{xs[i]:.17g},{xs[j]:.17g},{self.values[i, j]:.17g}\n")
 
     def to_json(self, stream) -> None:
-        """Metadata plus row-major values."""
+        """Metadata, each axis's range and size, plus row-major values."""
+        h, n = self.half_width, self.n
         doc = {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "nx": self.n_x,
-            "np": self.n_p,
+            "x_min": -h,
+            "x_max": h,
+            "p_min": -h,
+            "p_max": h,
+            "nx": n,
+            "np": n,
             "values": self.values.ravel().tolist(),
         }
         json.dump(doc, stream)
@@ -316,39 +285,26 @@ class GaussianState:
 
     def wigner_factors(self, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
         """1-D factors (u, v) of a single-mode state's Wigner function on
-        ``lattice``: W(x[i], p[j]) = u[i] * v[j].  Only a state without x-p
-        correlation (covariance entry S_01 = 0) factors; any other raises
-        :class:`ValueError`."""
-        qx, qp, qxp, det = self._wigner_exponents(lattice)
-        if qxp is not None:
+        ``lattice``: W(x[i], x[j]) = u[i] * v[j], with u along x and v along
+        p.  Only a state without x-p correlation (covariance entry
+        S_01 = 0) factors; any other raises :class:`ValueError`.  The
+        lattice's points are sampled once, for both axes."""
+        if self.modes != 1:
+            raise ValueError("grid sampling is for single-mode states")
+        (s_xx, s_xp), (_, s_pp) = self.cov.tolist()
+        if s_xp != 0.0:
             raise ValueError("a state with x-p correlation has no product Wigner function")
+        det = s_xx * s_pp
+        x = lattice.x
+        rx, rp = x - self.mean[0], x - self.mean[1]
+        qx, qp = -0.5 * (s_pp / det) * rx**2, -0.5 * (s_xx / det) * rp**2
         return np.exp(qx) / math.sqrt(det), np.exp(qp)
 
     def wigner_grid(self, grid: Lattice) -> WignerGrid:
         """Sample a single-mode state's Wigner function on ``grid``'s lattice:
-        the outer product of its 1-D factors, or for a state with x-p
-        correlation one exp of the summed exponents (along the ridge of a
-        squeezed, rotated state the factors underflow while the x-p factor
-        alone overflows)."""
-        qx, qp, qxp, det = self._wigner_exponents(grid)
-        if qxp is None:
-            return grid.like(np.outer(np.exp(qx) / math.sqrt(det), np.exp(qp)))
-        return grid.like(np.exp(qx[:, None] + qp[None, :] + qxp) / math.sqrt(det))
-
-    def _wigner_exponents(
-        self, lattice: Lattice
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
-        """(qx, qp, qxp, det S): W = exp(qx[i] + qp[j] + qxp[i, j]) / sqrt(det S)
-        on ``lattice``; ``qxp`` is None for a state without x-p correlation.
-        A square lattice's axes are sampled once."""
-        if self.modes != 1:
-            raise ValueError("grid sampling is for single-mode states")
-        (s_xx, s_xp), (_, s_pp) = self.cov.tolist()
-        det = s_xx * s_pp - s_xp * s_xp
-        x = lattice.x
-        dx, dp = x - self.mean[0], (x if lattice.square else lattice.p) - self.mean[1]
-        qxp = None if s_xp == 0.0 else (s_xp / det) * np.outer(dx, dp)
-        return -0.5 * (s_pp / det) * dx**2, -0.5 * (s_xx / det) * dp**2, qxp, det
+        the outer product of its :meth:`wigner_factors`, which raises the
+        same :class:`ValueError` for a state with x-p correlation."""
+        return grid.like(np.outer(*self.wigner_factors(grid)))
 
 
 def tensor_gaussian(*states: GaussianState) -> GaussianState:
@@ -680,7 +636,7 @@ def _widest_kernel(
     :class:`GridResolutionError` when the grid's half-range cannot hold it."""
     forms = _kernel_table(xi)[_check_output(output) - 1]
     sigma = math.sqrt(max((forms[k - 1, 1] for k in weights), default=0.0))
-    half = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min) / 2
+    half = grid.half_width
     if half < 4 * sigma:
         raise GridResolutionError(
             f"kernel spread {sigma:.3g} needs a grid half-range of at least "
@@ -689,25 +645,22 @@ def _widest_kernel(
     return sigma
 
 
-def _padded_shape(grid: Lattice, sigma: float) -> tuple[int, int]:
-    """FFT shape of the input zero padded for a kernel of spread ``sigma``.
+def _padded_length(grid: Lattice, sigma: float) -> int:
+    """FFT length of each axis of the input zero padded for a kernel of
+    spread ``sigma``.
 
     The 12 sigma of padding bound the wrap-around of a kernel wider than the
     grid step only.  A kernel narrower than the step has a characteristic
     function that is still O(1) at the Nyquist frequency, where the
     spectrum is cut; the ringing this leaves reaches past 12 sigma and wraps
-    around, so the result then depends on the padded shape.  For the smooth
+    around, so the result then depends on the padded length.  For the smooth
     inputs ``qidsim cv`` samples that moves F by at most 3.3e-16, but a rough
-    input feels it (6e-6 on a random 37 x 30 grid at xi = 0.5).
+    input feels it (up to 5e-5 in F on a random 30 x 30 grid at xi = 0.5).
     """
     # 12 sigma of zero padding after the data: a wrapped-around contribution
     # comes from at least 12 sigma away, where every kernel has vanished
-    mx = math.ceil(6 * sigma / grid.dx) + 1
-    mp = math.ceil(6 * sigma / grid.dp) + 1
-    return (
-        _next_fast_len(grid.n_x + 2 * mx, real=True),
-        _next_fast_len(grid.n_p + 2 * mp, real=True),
-    )
+    m = math.ceil(6 * sigma / grid.dx) + 1
+    return _next_fast_len(grid.n + 2 * m, real=True)
 
 
 def convolve_with_kernel(
@@ -726,14 +679,15 @@ def convolve_with_kernel(
     """
     weights = _nonzero_weights(which)
     xi = _as_xi(xi)
-    shape = _padded_shape(grid, _widest_kernel(grid, weights, xi, output))
-    kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
-    kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
+    length = _padded_length(grid, _widest_kernel(grid, weights, xi, output))
+    shape = (length, length)
+    kx = 2 * np.pi * np.fft.fftfreq(length, d=grid.dx)
+    kp = 2 * np.pi * np.fft.rfftfreq(length, d=grid.dx)
     spectrum = sum(
         w * kernel_characteristic(k, xi, kx[:, None], kp[None, :], output=output)
         for k, w in weights.items()
     )
-    out = irfft2(rfft2(grid.values, s=shape) * spectrum, s=shape)[: grid.n_x, : grid.n_p]
+    out = irfft2(rfft2(grid.values, s=shape) * spectrum, s=shape)[: grid.n, : grid.n]
     return grid.like(out / (2 * np.pi))
 
 
@@ -767,61 +721,52 @@ def output_overlaps(
     without a 2-D FFT.
 
     The input is zero padded once, to the widest weighted kernel of either
-    output.  Since W vanishes outside the lattice, Parseval turns both
-    Riemann sums into inner products on the half spectrum,
+    output, to one length L on both axes.  Since W vanishes outside the
+    lattice, Parseval turns both Riemann sums into inner products on the
+    half spectrum,
 
-        F    = dx dp / (2pi)^2 / M * sum_k w_k |A_k|^2 H_k
-        mass = dx dp / (2pi)^2 / M * sum_k w_k Re(conj(I_k) A_k) H_k
+        F    = dx^2 / (2pi)^2 / L^2 * sum_k w_k |A_k|^2 H_k
+        mass = dx^2 / (2pi)^2 / L^2 * sum_k w_k Re(conj(I_k) A_k) H_k
 
-    where M is the number of padded points, A = rfft(u) (x) rfft(v) the
-    input's transform on kx, kp >= 0, H the output's weighted kernel
-    characteristic function, I the transform of the lattice's indicator
-    and w the Hermitian weight, a product of one per axis: 1 for frequency
-    0 and an even Nyquist frequency, 2 otherwise.  u and v are real and
-    every H is even in kx and in kp, so the weight stands for the
-    frequencies -kx and -kp.  Both spectra are products of an x and a p
-    factor (the indicator is separable too), so each axis costs one real
-    FFT of the stacked factor and indicator (:func:`_axis_parts`).  A
-    square lattice's axes share the indicator and the frequencies, so one
-    real FFT of the stacked (u, v, indicator) rows serves both.  Every
-    weighted (output, kernel) pair's factors fx and fp come from one exp
-    per axis, one for both on a square lattice (:func:`_kernel_factors` on
-    rows of :func:`_kernel_table`).  A
-    Gaussian kernel's H is fx(kx) fp(kp), and its sums are products of 1-D
-    sums, one matrix product per axis for all of them.  The cross kernel's
-    H is fx(kx) fp(kp) cos(c kx kp) on the uniform grids kx = i dkx and
-    kp = j dkp, so its sums are sum_ij left_i cos(theta i j) right_j with
-    theta = c dkx dkp, a chirp-z transform; both outputs' sums, with a theta
-    each, are one batched :func:`_cosine_sum` call, one forward and one
-    inverse FFT on one in-place buffer.  No (rows x cols) array is built.
+    where A = rfft(u) (x) rfft(v) is the input's transform on kx, kp >= 0,
+    H the output's weighted kernel characteristic function, I the
+    transform of the lattice's indicator and w the Hermitian weight, a
+    product of one per axis: 1 for frequency 0 and an even Nyquist
+    frequency, 2 otherwise.  u and v are real and every H is even in kx and
+    in kp, so the weight stands for the frequencies -kx and -kp.  Both
+    spectra are products of an x and a p factor (the indicator is separable
+    too), and both axes sample the same points, so one real FFT of the
+    stacked (u, v, indicator) rows serves both, on one set of frequencies
+    (:func:`_axis_parts`).  Every weighted (output, kernel) pair's factors
+    fx and fp come from one exp for both axes (:func:`_kernel_factors` on
+    rows of :func:`_kernel_table`).  A Gaussian kernel's H is fx(kx) fp(kp),
+    and its sums are products of 1-D sums, one matrix product per axis for
+    all of them.  The cross kernel's H is fx(kx) fp(kp) cos(c kx kp) on the
+    uniform grid kx = i dk, kp = j dk, so its sums are
+    sum_ij left_i cos(theta i j) right_j with theta = c dk^2, a chirp-z
+    transform; both outputs' sums, with a theta each, are one batched
+    :func:`_cosine_sum` call, one forward and one inverse FFT on one
+    in-place buffer.  No (rows x cols) array is built.
     :class:`GridResolutionError` is raised per output, as by
-    :func:`output_wigner`; factors whose shapes are not (n_x,) and (n_p,)
-    raise :class:`ValueError`.
+    :func:`output_wigner`; factors whose shapes are not (n,) raise
+    :class:`ValueError`.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.shape != (lattice.n_x,) or v.shape != (lattice.n_p,):
+    if u.shape != (lattice.n,) or v.shape != (lattice.n,):
         raise ValueError(
-            f"factor shapes {u.shape} and {v.shape} do not match the lattice's "
-            f"({lattice.n_x},) and ({lattice.n_p},)"
+            f"factor shapes {u.shape} and {v.shape} do not match the lattice's ({lattice.n},)"
         )
     xi = _as_xi(xi)
     weights = _output_weights(alpha, beta)
     sigma = max(_widest_kernel(lattice, weights, xi, output) for output in (1, 2))
-    shape = _padded_shape(lattice, sigma)
-    kx = 2 * np.pi * np.fft.rfftfreq(shape[0], d=lattice.dx)
-    if lattice.square:
-        # both axes sample the same points: one transform and one set of
-        # frequencies serve both
-        x_parts, p_parts = _axis_parts((u, v), shape[0])
-        kp = kx
-    else:
-        (x_parts,), (p_parts,) = _axis_parts((u,), shape[0]), _axis_parts((v,), shape[1])
-        kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=lattice.dp)
+    length = _padded_length(lattice, sigma)
+    freqs = 2 * np.pi * np.fft.rfftfreq(length, d=lattice.dx)
+    x_parts, p_parts = _axis_parts(u, v, length)
     # every weighted kernel of both outputs, (output, kernel) along the
     # leading axes
     kernels = list(weights)
     w = np.array([weights[k] for k in kernels])
-    fx, fp, c = _kernel_factors(_kernel_table(xi)[:, [k - 1 for k in kernels]], kx, kp)
+    fx, fp, c = _kernel_factors(_kernel_table(xi)[:, [k - 1 for k in kernels]], freqs, freqs)
     # a kernel without a cosine has sums that are products of 1-D sums, one
     # matrix product per axis for all of them; a cross kernel's are chirp-z
     # sums, one call for both outputs.  The products are einsum's, not BLAS
@@ -832,28 +777,27 @@ def output_overlaps(
     total = (w[flat] * x_sums * p_sums).sum(axis=-1)
     for i in np.flatnonzero(~flat):
         left, right = x_parts * fx[:, i, None], p_parts * fp[:, i, None]
-        total += w[i] * _cosine_sum(left, right, c[:, i] * kx[1] * kp[1])
-    scale = lattice.dx * lattice.dp / (2 * np.pi) ** 2 / (shape[0] * shape[1])
+        total += w[i] * _cosine_sum(left, right, c[:, i] * freqs[1] * freqs[1])
+    scale = lattice.dx * lattice.dx / (2 * np.pi) ** 2 / (length * length)
     (f1, m1), (f2, m2) = (scale * total).tolist()
     return (f1, m1), (f2, m2)
 
 
-def _axis_parts(factors: Sequence[np.ndarray], length: int) -> np.ndarray:
-    """Each factor's parts |A|^2 and Re(conj(I) A) along its axis, a
-    (len(factors), 2, length // 2 + 1) array: A is the transform of the
-    real factor and I that of the lattice's indicator, both zero padded to
-    ``length``, on the frequencies k >= 0.  The factors all have the
-    indicator's size, so one call serves both axes of a square lattice.
-    Each column carries its Hermitian weight, 1 for column 0 and an even
-    Nyquist column and 2 otherwise, which stands for the column of -k.  One
-    rfft of the stacked (factors..., indicator) rows."""
-    m, size = len(factors), factors[0].size
-    rows = np.zeros((m + 1, length))
-    rows[:m, :size] = factors
-    rows[m, :size] = 1.0
+def _axis_parts(u: np.ndarray, v: np.ndarray, length: int) -> np.ndarray:
+    """The parts |A|^2 and Re(conj(I) A) of the factor ``u`` along x and of
+    ``v`` along p, a (2, 2, length // 2 + 1) array: A is the transform of
+    the real factor and I that of the lattice's indicator, all zero padded
+    to ``length``, on the frequencies k >= 0 that both axes share.  Each
+    column carries its Hermitian weight, 1 for column 0 and an even Nyquist
+    column and 2 otherwise, which stands for the column of -k.  One rfft of
+    the stacked (u, v, indicator) rows."""
+    size = u.size
+    rows = np.zeros((3, length))
+    rows[:2, :size] = u, v
+    rows[2, :size] = 1.0
     spectra = rfft(rows)
-    a, ind = spectra[:m], spectra[m]
-    parts = np.empty((m, 2, ind.size))
+    a, ind = spectra[:2], spectra[2]
+    parts = np.empty((2, 2, ind.size))
     parts[:, 0] = a.real**2 + a.imag**2
     parts[:, 1] = ind.real * a.real + ind.imag * a.imag
     parts[..., 1 : (length + 1) // 2] *= 2.0
@@ -864,9 +808,9 @@ def cv_fidelity(w_in: WignerGrid, w_out: WignerGrid) -> float:
     """(1/2pi) * iint W_in W_out dx dp by grid quadrature.
 
     Equals <psi|rho_out|psi> when the input grid samples a pure state."""
-    if not w_in.same_lattice(w_out):
+    if (w_in.half_width, w_in.n) != (w_out.half_width, w_out.n):
         raise ValueError("grids are not sampled on the same lattice")
-    return float((w_in.values * w_out.values).sum() * w_in.dx * w_in.dp / (2 * np.pi))
+    return float((w_in.values * w_out.values).sum() * w_in.dx * w_in.dx / (2 * np.pi))
 
 
 def cv_fidelity_asymptotic(xi: float, alpha: float, beta: float, output: int = 1) -> float:

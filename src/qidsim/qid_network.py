@@ -111,7 +111,7 @@ def _conditional_shift(dim: int, sign: int) -> Operator:
     mat = np.zeros((d * d, d * d), dtype=complex)
     k, m = np.divmod(np.arange(d * d), d)
     mat[k * d + (m + sign * k) % d, k * d + m] = 1.0
-    return Operator((d, d), mat, check_unitary=True)
+    return Operator((d, d), mat)
 
 
 def conditional_add(dim: int) -> Operator:

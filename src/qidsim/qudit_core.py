@@ -192,20 +192,20 @@ class DensityOperator:
 
 
 class Operator:
-    """Dense operator on one or more qudit registers."""
+    """Dense unitary operator on one or more qudit registers; a matrix that
+    is not unitary to ``ATOL_EXACT`` is rejected."""
 
     __slots__ = ("dims", "matrix")
 
-    def __init__(self, dims: Sequence[int], matrix: np.ndarray, *, check_unitary: bool = False):
+    def __init__(self, dims: Sequence[int], matrix: np.ndarray):
         self.dims = tuple(validate_dim(d) for d in dims)
         mat = np.asarray(matrix, dtype=complex)
         d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
-        if check_unitary:
-            err = np.abs(mat.conj().T @ mat - np.eye(d)).max()
-            if not (err <= ATOL_EXACT):
-                raise ValueError(f"operator is not unitary: |U^dag U - 1| = {err:.3e}")
+        err = np.abs(mat.conj().T @ mat - np.eye(d)).max()
+        if not (err <= ATOL_EXACT):
+            raise ValueError(f"operator is not unitary: |U^dag U - 1| = {err:.3e}")
         self.matrix = mat
 
 
@@ -219,14 +219,14 @@ def fourier_operator(dim: int) -> Operator:
     n = validate_dim(dim)
     k = np.arange(n)
     mat = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    return Operator((n,), mat, check_unitary=True)
+    return Operator((n,), mat)
 
 
 def shift_x(dim: int, n: int) -> Operator:
     """Cyclic position shift: |x_k> -> |x_(k+n) mod N>."""
     d = validate_dim(dim)
     mat = np.roll(np.eye(d, dtype=complex), int(n) % d, axis=0)
-    return Operator((d,), mat, check_unitary=True)
+    return Operator((d,), mat)
 
 
 def shift_p(dim: int, m: int) -> Operator:
@@ -238,7 +238,7 @@ def shift_p(dim: int, m: int) -> Operator:
     """
     d = validate_dim(dim)
     mat = np.diag(np.exp(2j * np.pi * int(m) * np.arange(d) / d))
-    return Operator((d,), mat, check_unitary=True)
+    return Operator((d,), mat)
 
 
 def entangled_state(dim: int, m: int, n: int) -> PureState:

@@ -21,7 +21,6 @@ from qidsim.cv_gaussian import (
 from qidsim.qid_network import PermutationGate
 from qidsim.qudit_core import (
     DensityOperator,
-    Operator,
     PureState,
     fourier_operator,
     partial_trace,
@@ -49,16 +48,17 @@ def distance_up_to_phase(a: PureState, b: PureState) -> float:
     return float(np.linalg.norm(a.amplitudes - b.amplitudes / phase))
 
 
-def x_operator(dim: int) -> Operator:
-    """Position label operator, diag(0, 1, ..., N-1)."""
+def x_operator(dim: int) -> np.ndarray:
+    """Position label operator, diag(0, 1, ..., N-1), as a plain matrix: it
+    is not unitary, so it is no :class:`Operator`."""
     d = validate_dim(dim)
-    return Operator((d,), np.diag(np.arange(d).astype(complex)))
+    return np.diag(np.arange(d).astype(complex))
 
 
-def p_operator(dim: int) -> Operator:
-    """Momentum label operator F X F^dag."""
+def p_operator(dim: int) -> np.ndarray:
+    """Momentum label operator F X F^dag, as a plain matrix."""
     f = fourier_operator(dim).matrix
-    return Operator((dim,), f @ x_operator(dim).matrix @ f.conj().T)
+    return f @ x_operator(dim) @ f.conj().T
 
 
 def transpose_op(rho: DensityOperator) -> DensityOperator:
@@ -92,14 +92,14 @@ def output_negativity(joint: PureState, pair: tuple[int, int] = (0, 1)) -> float
 
 
 def meshgrid(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """(x, p) coordinates of every point of ``lattice``, each of shape (n_x, n_p)."""
-    return np.meshgrid(lattice.x, lattice.p, indexing="ij")
+    """(x, p) coordinates of every point of ``lattice``, each of shape (n, n)."""
+    return np.meshgrid(lattice.x, lattice.x, indexing="ij")
 
 
 def grid_mass(grid: WignerGrid) -> float:
     """(1/2pi) * iint W dx dp by Riemann sum: the reference for the masses
     that ``output_overlaps`` reads off the spectrum."""
-    return float(grid.values.sum() * grid.dx * grid.dp / (2 * np.pi))
+    return float(grid.values.sum() * grid.dx**2 / (2 * np.pi))
 
 
 def grid_moments(grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -193,13 +193,12 @@ def kernel_wigner_by_cosine_transform(
     z >= 0 with half weight at z = 0.  Over both outputs the kernels' widths
     in z lie between e^{-xi} and sqrt(2) * e^{xi}.
     """
-    p_max = max(abs(grid.p_min), abs(grid.p_max))
-    dz = min(math.exp(-xi) / 6, np.pi / (4 * p_max))
+    dz = min(math.exp(-xi) / 6, np.pi / (4 * grid.half_width))
     z = np.arange(0.0, 10 * math.sqrt(2) * math.exp(xi), dz)
     weights = np.full(z.size, 2.0 * dz)
     weights[0] = dz
     kmat = kernel_eval(which, xi, z[None, :], grid.x[:, None], output=output)
-    cosmat = np.cos(np.outer(z, grid.p))
+    cosmat = np.cos(np.outer(z, grid.x))
     return grid.like((kmat * weights[None, :]) @ cosmat / math.sqrt(2 * np.pi))
 
 

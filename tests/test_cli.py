@@ -385,7 +385,7 @@ class TestCv:
         return per_row, sum(calls.values())
 
     def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
-        # a grid row is one rfft per axis and one forward and one inverse
+        # a grid row is one rfft for both axes and one forward and one inverse
         # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
         # takes none, so every call falls inside a grid row
         per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
@@ -665,6 +665,15 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith("error: squeezing must be finite and nonnegative")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_dump_stem(self, tmp_path, monkeypatch, capsys):
+        # an empty stem is not an absent --dump-wigner: it is rejected before
+        # any row is printed or any grid written
+        monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, "cv", "--xi", "1", "--grid", "256", "--dump-wigner", "")
+        assert (code, out) == (1, "")
+        assert err == "error: --dump-wigner expects a non-empty file stem, got ''\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_squeezing(self, capsys):

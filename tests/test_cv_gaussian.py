@@ -423,9 +423,9 @@ def direct_convolution(grid: WignerGrid, which: int, xi: float, output: int = 1)
     xg, pg = meshgrid(grid)
     out = np.zeros_like(grid.values)
     for i, x in enumerate(grid.x):
-        for j, p in enumerate(grid.p):
+        for j, p in enumerate(grid.x):
             kern = kernel_wigner_value(which, xi, x - xg, p - pg, output=output)
-            out[i, j] = (grid.values * kern).sum() * grid.dx * grid.dp / (2 * np.pi)
+            out[i, j] = (grid.values * kern).sum() * grid.dx**2 / (2 * np.pi)
     return out
 
 
@@ -606,7 +606,7 @@ class TestOutputOverlaps:
         # the Nyquist frequency, and the ringing this leaves wraps around the
         # short padding: that mass is 1.3e-13 from its value at 4096 points,
         # and this one is 1.6e-14 from it.
-        lattice = Lattice.centered(suggested_half_width(xi), 512)
+        lattice = Lattice(suggested_half_width(xi), 512)
         u, v, grid = sampled_factors(VACUUM, lattice)
         for alpha in (0.0, 0.3, math.sqrt(0.5), 0.95, 1.0):
             beta = solve_cv_beta(alpha, xi)
@@ -615,56 +615,50 @@ class TestOutputOverlaps:
             assert np.abs(got[:, 0] - want[:, 0]).max() < 1e-13
             assert np.abs(got[:, 1] - want[:, 1]).max() < 2e-13
 
-    @pytest.mark.parametrize(
-        "lattice, odd_axis",
-        (
-            ((-9.0, 11.0, -10.0, 8.5, 301, 257), 0),
-            ((-8.5, 10.0, -9.0, 9.5, 300, 271), 1),
-        ),
-    )
-    def test_off_centre_coherent_input_on_odd_padding(self, lattice, odd_axis):
-        # non-square lattices whose padded FFT shape is odd along one axis:
-        # along axis 1 the half spectrum then has no Nyquist column
+    @pytest.mark.parametrize("lattice, odd", (((9.0, 301), 0), ((9.0, 271), 1)))
+    def test_off_centre_coherent_input_on_odd_padding(self, lattice, odd):
+        # an input off the lattice's centre, on padded lengths of either
+        # parity: an odd length leaves the half spectrum no Nyquist column
         xi, alpha = 1.0, 0.6
         beta = solve_cv_beta(alpha, xi)
         lattice = Lattice(*lattice)
         u, v, grid = sampled_factors(GaussianState.coherent(0.7 + 0.4j), lattice)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
         sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        assert cv_gaussian._padded_shape(lattice, sigma)[odd_axis] % 2 == 1
+        assert cv_gaussian._padded_length(lattice, sigma) % 2 == odd
         got = output_overlaps(lattice, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
 
-    @pytest.mark.parametrize("n_p, odd_width", ((30, False), (31, True)))
-    def test_rough_input_weighs_every_column(self, n_p, odd_width):
+    @pytest.mark.parametrize("n, odd_width", ((30, False), (31, True)))
+    def test_rough_input_weighs_every_column(self, n, odd_width):
         # Parseval holds for any real product grid: random factors put weight
         # on the Nyquist column (even padded width) that a smooth input leaves
         # empty.
         # Such an input also feels where the narrow kernels' spectra are cut
         # at the Nyquist frequency, and the result then depends on the padded
-        # shape (by 6e-6 here), so the output grids are convolved at the
-        # shape output_overlaps pads to
+        # length (by up to 5e-5 at n = 30), so the output grids are convolved
+        # at the length output_overlaps pads to
         xi, alpha = 0.5, 0.6
         beta = solve_cv_beta(alpha, xi)
         rng = np.random.default_rng(8)
-        u, v = rng.standard_normal(37), rng.standard_normal(n_p)
-        lattice = Lattice(-6.0, 7.0, -5.0, 6.5, 37, n_p)
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        lattice = Lattice(5.5, n)
         grid = lattice.like(np.outer(u, v))
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
         sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        shape = cv_gaussian._padded_shape(lattice, sigma)
-        assert shape[1] % 2 == odd_width
-        kx = 2 * np.pi * np.fft.fftfreq(shape[0], d=grid.dx)
-        kp = 2 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
-        spectrum = rfft2(grid.values, s=shape)
+        length = cv_gaussian._padded_length(lattice, sigma)
+        assert length % 2 == odd_width
+        kx = 2 * np.pi * np.fft.fftfreq(length, d=grid.dx)
+        kp = 2 * np.pi * np.fft.rfftfreq(length, d=grid.dx)
+        spectrum = rfft2(grid.values, s=(length, length))
         want = []
         for output in (1, 2):
             chi = sum(
                 w * kernel_characteristic(k, xi, kx[:, None], kp[None, :], output=output)
                 for k, w in weights.items()
             )
-            out = irfft2(spectrum * chi, s=shape)[: grid.n_x, : grid.n_p] / (2 * np.pi)
+            out = irfft2(spectrum * chi, s=(length, length))[:n, :n] / (2 * np.pi)
             want.append((cv_fidelity(grid, grid.like(out)), grid_mass(grid.like(out))))
         got = output_overlaps(lattice, u, v, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
@@ -675,7 +669,7 @@ class TestOutputOverlaps:
         # (its zero-frequency term) is not
         xi, alpha = 0.0, math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
-        lattice = Lattice.centered(4.05, 128)
+        lattice = Lattice(4.05, 128)
         u, v, grid = sampled_factors(VACUUM, lattice)
         got = output_overlaps(lattice, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
@@ -688,7 +682,7 @@ class TestOutputOverlaps:
         # first; at alpha = 1 only output 2 holds the wide kernel
         xi = 2.0
         beta = solve_cv_beta(alpha, xi)
-        lattice = Lattice.centered(4.0, 128)
+        lattice = Lattice(4.0, 128)
         u, v, grid = sampled_factors(VACUUM, lattice)
         for output in range(1, failing):
             output_wigner(grid, xi, alpha, beta, output=output)
@@ -699,14 +693,11 @@ class TestOutputOverlaps:
         assert str(spectral.value) == str(real_space.value)
 
     def test_square_lattice_takes_one_transform_for_both_axes(self, monkeypatch):
-        # a square lattice's two factors share one rfft and one frequency
-        # grid, which leaves every number as the per-axis transforms give it
+        # both axes sample the same points, so one rfft of the stacked
+        # (u, v, indicator) rows serves them
         xi, alpha = 0.5, math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
-        lattice = Lattice.centered(suggested_half_width(xi), 256)
-        assert lattice.square
-        assert not Lattice(-8.0, 8.0, -8.5, 8.5, 256, 256).square
-        assert not Lattice(-8.0, 8.0, -8.0, 8.0, 256, 255).square
+        lattice = Lattice(suggested_half_width(xi), 256)
         u, v = VACUUM.wigner_factors(lattice)
         stacked, rfft = [], cv_gaussian.rfft
 
@@ -715,15 +706,12 @@ class TestOutputOverlaps:
             return rfft(rows)
 
         monkeypatch.setattr(cv_gaussian, "rfft", counted)
-        shared = output_overlaps(lattice, u, v, xi, alpha, beta)
-        monkeypatch.setattr(Lattice, "square", property(lambda self: False))
-        per_axis = output_overlaps(lattice, u, v, xi, alpha, beta)
-        assert stacked == [3, 2, 2]
-        assert shared == per_axis
+        output_overlaps(lattice, u, v, xi, alpha, beta)
+        assert stacked == [3]
 
     @pytest.mark.parametrize("shapes", (((128,), (127,)), ((127,), (128,)), ((128, 128), (128,))))
     def test_rejects_factors_off_the_lattice(self, shapes):
-        lattice = Lattice.centered(8.0, 128)
+        lattice = Lattice(8.0, 128)
         u, v = (np.ones(shape) for shape in shapes)
         with pytest.raises(ValueError, match="factor shapes"):
             output_overlaps(lattice, u, v, 0.5, 0.6, solve_cv_beta(0.6, 0.5))
@@ -733,13 +721,13 @@ class TestOutputOverlaps:
     def test_no_rows_by_cols_array(self, xi):
         # the cross kernel's sum is a chirp-z convolution of 1-D rows: the
         # call's peak allocation stays below one (rows x cols) float array
-        lattice = Lattice.centered(suggested_half_width(xi), 512)
+        lattice = Lattice(suggested_half_width(xi), 512)
         u, v = VACUUM.wigner_factors(lattice)
         alpha = math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
         sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        shape = cv_gaussian._padded_shape(lattice, sigma)
+        length = cv_gaussian._padded_length(lattice, sigma)
         output_overlaps(lattice, u, v, xi, alpha, beta)  # warm the FFT plans
         tracemalloc.start()
         try:
@@ -747,7 +735,7 @@ class TestOutputOverlaps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (shape[0] // 2 + 1) * (shape[1] // 2 + 1)
+        assert peak < 8 * (length // 2 + 1) ** 2
 
 
 class TestCosineSum:
@@ -876,53 +864,43 @@ class TestWignerGrid:
         grid = VACUUM.wigner_grid(WignerGrid.centered(6.0, 301))
         assert abs(grid_mass(grid) - 1.0) < 1e-9
 
-    def test_correlated_state_matches_pointwise_wigner(self):
-        # x-p correlation adds the exp(-S^-1_01 dx dp) factor to the product
-        # of the 1-D factors, on a non-square off-centre lattice
+    def test_correlated_state_has_no_grid(self):
+        # a state with x-p correlation has no product Wigner function, and
+        # both ways of sampling it say so
         state = GaussianState(np.array([0.3, -0.2]), np.array([[0.9, 0.35], [0.35, 0.6]]))
-        lattice = Lattice(-4.0, 5.0, -3.5, 3.0, 31, 29)
-        grid = state.wigner_grid(lattice)
-        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
-        assert np.abs(grid.values - np.array(want)).max() < 1e-12
-        with pytest.raises(ValueError, match="x-p correlation"):
-            state.wigner_factors(lattice)
-
-    @pytest.mark.parametrize("r", (1.5, 2.0))
-    def test_squeezed_rotated_state_along_its_ridge(self, r):
-        # a vacuum squeezed by r and rotated by 45 degrees: along the ridge
-        # dx = dp the product of the 1-D factors underflows (e^{-873} at
-        # r = 2, dx = dp = 4) while the x-p factor alone overflows
-        c = math.sqrt(0.5)
-        rotate = np.array([[c, -c], [c, c]])
-        state = apply_symplectic(rotate @ np.diag([math.exp(r), math.exp(-r)]), VACUUM)
-        lattice = Lattice.centered(6.0, 61)
-        grid = state.wigner_grid(lattice)
-        assert np.isfinite(grid.values).all()
-        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
-        assert np.abs(grid.values - np.array(want)).max() < 1e-12
-        # the state is pure, det S = 1/4
-        ridge = 2 * np.exp(-2 * lattice.x**2 * math.exp(-2 * r))
-        assert np.abs(np.diag(grid.values) - ridge).max() < 1e-12
+        lattice = Lattice(4.0, 31)
+        for sample in (state.wigner_factors, state.wigner_grid):
+            with pytest.raises(ValueError, match="x-p correlation"):
+                sample(lattice)
 
     def test_factors_of_an_uncorrelated_state(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
-        lattice = Lattice(-5.0, 6.0, -4.0, 4.5, 23, 19)
+        lattice = Lattice(5.0, 23)
         u, v = state.wigner_factors(lattice)
-        assert u.shape == (23,) and v.shape == (19,)
-        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.p] for x in lattice.x]
+        assert u.shape == v.shape == (23,)
+        want = [[gaussian_wigner_at(state, (x, p)) for p in lattice.x] for x in lattice.x]
         assert np.abs(np.outer(u, v) - np.array(want)).max() < 1e-12
         assert np.array_equal(state.wigner_grid(lattice).values, np.outer(u, v))
         with pytest.raises(ValueError, match="single-mode"):
             GaussianState.vacuum(2).wigner_factors(lattice)
 
     def test_lattice_is_geometry_only(self):
-        lattice = Lattice.centered(3.0, 7)
+        lattice = Lattice(3.0, 7)
         assert not hasattr(lattice, "values")
         grid = lattice.like(np.ones((7, 7)))
-        assert isinstance(grid, WignerGrid) and grid.same_lattice(lattice)
+        assert isinstance(grid, WignerGrid)
+        assert (grid.half_width, grid.n) == (lattice.half_width, lattice.n)
         assert grid.dx == lattice.dx == 1.0
+        assert np.array_equal(lattice.x, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="two points"):
-            Lattice(-1.0, 1.0, -1.0, 1.0, 1, 4)
+            Lattice(1.0, 1)
+
+    @pytest.mark.parametrize("half_width", (math.inf, math.nan, 0.0, -1.0))
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(ValueError, match="half-width"):
+            Lattice(half_width, 5)
+        with pytest.raises(ValueError, match="half-width"):
+            WignerGrid.centered(half_width, 5)
 
     def test_moments_of_displaced_gaussian(self):
         state = GaussianState(np.array([1.0, -0.5]), np.diag([0.7, 0.9]))
@@ -957,21 +935,23 @@ class TestWignerGrid:
         import io
         import json
 
-        values = np.array([[-0.0, 5e-324, 1e308], [math.nan, -1.7976931348623157e308, 0.1]])
-        grid = WignerGrid(-1.0, 1.0, -2.0, 2.0, 2, 3, values)
+        values = np.array(
+            [[-0.0, 5e-324, 1e308], [math.nan, -1.7976931348623157e308, 0.1], [math.inf, 1.0, 2.5]]
+        )
+        grid = WignerGrid(1.5, 3, values)
         written = io.StringIO()
         grid.to_json(written)
         rounded = {
-            "x_min": -1.0, "x_max": 1.0, "p_min": -2.0, "p_max": 2.0, "nx": 2, "np": 3,
+            "x_min": -1.5, "x_max": 1.5, "p_min": -1.5, "p_max": 1.5, "nx": 3, "np": 3,
             "values": [float(f"{v:.17g}") for v in values.ravel()],
         }
         assert written.getvalue() == json.dumps(rounded)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WignerGrid(0.0, 0.0, -1.0, 1.0, 4, 4, np.zeros((4, 4)))
+            WignerGrid(0.0, 4, np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            WignerGrid(-1.0, 1.0, -1.0, 1.0, 4, 4, np.zeros((3, 4)))
+            WignerGrid(1.0, 4, np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,8 @@ class TestEntangledBasis:
         # diag(0..N-1) in each basis: the Fourier operator maps the x-basis
         # labels onto the momentum-like ones
         d = 4
-        assert np.abs(x_operator(d).matrix - np.diag(np.arange(d))).max() < 1e-12
-        pop = p_operator(d).matrix
+        assert np.abs(x_operator(d) - np.diag(np.arange(d))).max() < 1e-12
+        pop = p_operator(d)
         f = fourier_operator(d).matrix
         assert np.abs(f.conj().T @ pop @ f - np.diag(np.arange(d))).max() < 1e-10
 
@@ -347,11 +347,11 @@ class TestStateAndOperatorValidation:
 
     def test_unitary_check(self):
         with pytest.raises(ValueError):
-            Operator((2,), np.array([[1.0, 1.0], [0.0, 1.0]]), check_unitary=True)
+            Operator((2,), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_unitary_check_fails_on_nan(self):
         with pytest.raises(ValueError, match="not unitary"):
-            Operator((2,), np.array([[np.nan, 0.0], [0.0, 1.0]]), check_unitary=True)
+            Operator((2,), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_random_states_normalised(self):
         psi = haar_random_state((5, 5), np.random.default_rng(9))
