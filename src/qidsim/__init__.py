@@ -33,7 +33,6 @@ from .qid_network import (
 )
 from .cv_gaussian import (
     GaussianState,
-    GridResolutionError,
     WignerGrid,
     coherent_cloner,
     cv_fidelity,

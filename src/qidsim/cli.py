@@ -45,8 +45,6 @@ DUMP_GRID_MAX = 2048
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -92,7 +90,7 @@ def _finish(args, payload, gates, columns=None) -> int:
     """
     if columns is not None and args.format == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_fmt(row.get(c)) for c in columns) for row in payload]
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in payload]
         text = "\n".join(lines) + "\n"
     else:
         doc = {"rows": payload} if columns is not None else payload
@@ -128,16 +126,14 @@ def _bad_option(option: str, value: str, expected: str) -> ValueError:
 
 
 def _parse_dims(args) -> list[int]:
-    if args.dim_range:
-        lo, _, hi = args.dim_range.partition(":")
-        try:
-            dims = list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            dims = []  # unparsable bounds get the same error as an empty range
-        if not dims:
-            raise _bad_option("--dim-range", args.dim_range, "A:B with integers A <= B")
-        return dims
-    return [2 if args.dim is None else args.dim]
+    lo, _, hi = args.dim_range.partition(":")
+    try:
+        dims = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        dims = []  # unparsable bounds get the same error as an empty range
+    if not dims:
+        raise _bad_option("--dim-range", args.dim_range, "A:B with integers A <= B")
+    return dims
 
 
 def _parse_input_spec(spec: str, dim: int) -> tuple[PureState, int | None]:
@@ -293,7 +289,8 @@ def _kernel_norm(which: int, xi: float) -> float:
     integer multiples of h, so the peak eta = 0 is always one of them and a
     kernel that is NaN there fails the check.
     """
-    h = 12 * cv._kernel_sigma(which, xi, 1) / KERNEL_NORM_HALF_NODES
+    _, var, _ = cv._kernel_form(which, xi, 1)
+    h = 12 * math.sqrt(var) / KERNEL_NORM_HALF_NODES
     eta = h * np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1)
     k = cv.kernel_eval(which, xi, 0.0, eta)
     return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
@@ -436,12 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = {"choices": ("csv", "json"), "default": "csv"}
 
     p = sub.add_parser("clone", help="scaling factor and fidelity of the universal cloner per N")
-    # argparse lets an option through a mutually exclusive group when its
-    # value is its default object, and int("2") is the cached 2: with
-    # default=2, "--dim 2 --dim-range 3:4" would drop --dim unnoticed
-    dims = p.add_mutually_exclusive_group()
-    dims.add_argument("--dim", type=int, default=None, help="one dimension (default 2)")
-    dims.add_argument("--dim-range", default=None, metavar="A:B")
+    p.add_argument("--dim-range", default="2:2", metavar="A:B", help="dimensions A to B (default 2:2)")
     p.add_argument("--seed", **seed)
     p.add_argument("--out", **out)
     p.add_argument("--format", **fmt)

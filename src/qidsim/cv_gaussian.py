@@ -70,7 +70,6 @@ from .qid_network import two_branch_beta
 
 __all__ = [
     "XI_GRID_MAX",
-    "GridResolutionError",
     "Lattice",
     "WignerGrid",
     "GaussianState",
@@ -105,10 +104,6 @@ __all__ = [
 # e^{xi}-wide kernel cannot then resolve the vacuum input: at xi = 5 the
 # sampled input's mass is off by 0.1 on a 1024^2 grid.
 XI_GRID_MAX = 3.0
-
-
-class GridResolutionError(ValueError):
-    """A sampled grid's range cannot contain the requested kernel."""
 
 
 def _as_xi(value: float) -> float:
@@ -254,27 +249,13 @@ class GaussianState:
         return self.mean.size // 2
 
     @classmethod
-    def vacuum(cls, modes: int = 1) -> "GaussianState":
-        return cls(np.zeros(2 * modes), 0.5 * np.eye(2 * modes))
+    def vacuum(cls) -> "GaussianState":
+        return cls(np.zeros(2), 0.5 * np.eye(2))
 
     @classmethod
     def coherent(cls, z: complex) -> "GaussianState":
         """Coherent state of amplitude z; mean quadratures sqrt(2)*(Re z, Im z)."""
         return cls(np.sqrt(2.0) * np.array([z.real, z.imag]), 0.5 * np.eye(2))
-
-    @classmethod
-    def from_position_quadratic_form(cls, m: np.ndarray) -> "GaussianState":
-        """Pure state with real wavefunction phi(x) ~ exp(-x^T M x / 2).
-
-        Position covariance (1/2) M^-1, momentum covariance (1/2) M, no
-        cross terms.
-        """
-        m = np.asarray(m, dtype=float)
-        n = m.shape[0]
-        cov = np.zeros((2 * n, 2 * n))
-        cov[0::2, 0::2] = 0.5 * np.linalg.inv(m)
-        cov[1::2, 1::2] = 0.5 * m
-        return cls(np.zeros(2 * n), cov)
 
     def reduce(self, mode: int) -> "GaussianState":
         """Single-mode reduction (discard the other modes)."""
@@ -604,12 +585,6 @@ def _next_fast_len(target: int, real: bool) -> int:
         n += 1
 
 
-def _kernel_sigma(which: int, xi: float, output: int) -> float:
-    """Per-quadrature standard deviation of a kernel Wigner function
-    (Gaussian part for the cross kernel): sqrt(var)."""
-    return math.sqrt(_kernel_form(which, xi, output)[1])
-
-
 # ---------------------------------------------------------------------------
 # Output Wigner functions
 # ---------------------------------------------------------------------------
@@ -633,12 +608,12 @@ def _widest_kernel(
     grid: Lattice, weights: Mapping[int, float], xi: float, output: int
 ) -> float:
     """Spread of the widest weighted kernel of ``output``; raises
-    :class:`GridResolutionError` when the grid's half-range cannot hold it."""
+    :class:`ValueError` when the grid's half-range cannot hold it."""
     forms = _kernel_table(xi)[_check_output(output) - 1]
     sigma = math.sqrt(max((forms[k - 1, 1] for k in weights), default=0.0))
     half = grid.half_width
     if half < 4 * sigma:
-        raise GridResolutionError(
+        raise ValueError(
             f"kernel spread {sigma:.3g} needs a grid half-range of at least "
             f"{4 * sigma:.3g}, have {half:.3g}"
         )
@@ -747,9 +722,9 @@ def output_overlaps(
     transform; both outputs' sums, with a theta each, are one batched
     :func:`_cosine_sum` call, one forward and one inverse FFT on one
     in-place buffer.  No (rows x cols) array is built.
-    :class:`GridResolutionError` is raised per output, as by
-    :func:`output_wigner`; factors whose shapes are not (n,) raise
-    :class:`ValueError`.
+    A half-range too small for either output's widest kernel raises
+    :class:`ValueError`, as :func:`output_wigner` does; so do factors whose
+    shapes are not (n,).
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if u.shape != (lattice.n,) or v.shape != (lattice.n,):
@@ -860,12 +835,16 @@ def qid_symplectic() -> np.ndarray:
 def cloner_program_gaussian() -> GaussianState:
     """Two-mode program state optimising the cloner for coherent inputs.
 
-    Pure Gaussian with wavefunction proportional to
-    exp(-(x2^2 + (x3 - x2)^2)/2) over the program registers.
+    Pure Gaussian with the real wavefunction
+    exp(-(x2^2 + (x3 - x2)^2)/2) = exp(-x^T M x / 2) over the program
+    registers, M = [[2, -1], [-1, 1]].  Such a state has position
+    covariance M^-1 / 2 = [[1, 1], [1, 2]] / 2, momentum covariance M / 2
+    and no x-p terms.  det M = 1, so the covariance's determinant is 1/16:
+    the state is pure.
     """
-    return GaussianState.from_position_quadratic_form(
-        np.array([[2.0, -1.0], [-1.0, 1.0]])
-    )
+    # interleaved (x2, p2, x3, p3): M^-1 / 2 on the positions, M / 2 on the momenta
+    cov = [[0.5, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 0.5]]
+    return GaussianState(np.zeros(4), cov)
 
 
 def coherent_cloner(

@@ -164,15 +164,14 @@ class PermutationGate:
         return PureState(state.dims, out)
 
 
-@functools.lru_cache(maxsize=1)
 def build_qid_unitary(dim: int) -> PermutationGate:
     """Distributor unitary as a basis permutation.
 
     Sends (n, m, k) to ((n - m + k) mod N, (m + n) mod N, (k + n) mod N),
     which is what the four conditional shifts D31 D21^dag D13 D12 do on
-    basis triples (registers ordered 1, 2, 3).  The gate of the last
-    dimension asked for is cached, so repeated calls at one N build and
-    bijection-check the N^3 permutation once.
+    basis triples (registers ordered 1, 2, 3).  Each call builds and
+    bijection-checks the N^3 permutation; no command builds it, only the
+    joint-state oracle :attr:`DistributorOutput.joint` and the tests.
     """
     d = validate_dim(dim)
     idx = np.arange(d**3)
@@ -294,12 +293,6 @@ def cloner_program(dim: int) -> PureState:
     return program_state(d, alpha, alpha)
 
 
-def _program_ket(ket: PureState) -> PureState:
-    if ket.num_registers != 2 or ket.dims[0] != ket.dims[1]:
-        raise ValueError("program must span two registers of equal dimension")
-    return ket
-
-
 class _ChannelTables(NamedTuple):
     """Read-only ``take`` indices that depend on N alone.
 
@@ -325,10 +318,10 @@ class _ChannelTables(NamedTuple):
 def _channel_tables(dim: int) -> _ChannelTables:
     """Index tables of :func:`distribute` and :func:`_third_output_kernels`.
 
-    The tables of the last dimension asked for are cached, like the gate of
-    :func:`build_qid_unitary`, and stay held after :func:`distribute`
-    returns: int64 indices of 48 bytes per N² entry for even N and 40 for
-    odd N, which is 50 MB at N = 1024 and 0.81 GB at N = 4096.
+    The tables of the last dimension asked for are cached and stay held
+    after :func:`distribute` returns: int64 indices of 48 bytes per N²
+    entry for even N and 40 for odd N, which is 50 MB at N = 1024 and
+    0.81 GB at N = 4096.
     """
     d = validate_dim(dim)
     x = np.arange(d)
@@ -440,14 +433,15 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     finite, Hermitian and of unit trace, in one :func:`_check_densities`
     call.  A failed check raises ValueError naming the output.
     """
-    ket = _program_ket(program)
+    if program.num_registers != 2 or program.dims[0] != program.dims[1]:
+        raise ValueError("program must span two registers of equal dimension")
     if psi.num_registers != 1:
         raise ValueError("input must be a single register")
     d = psi.dim
-    if ket.dims[0] != d:
-        raise ValueError(f"dimension mismatch: input {d}, program {ket.dims[0]}")
+    if program.dims[0] != d:
+        raise ValueError(f"dimension mismatch: input {d}, program {program.dims[0]}")
     tables = _channel_tables(d)
-    coeffs = ket.amplitudes.reshape(d, d)
+    coeffs = program.amplitudes.reshape(d, d)
     out = np.empty((3, d, d), dtype=complex)
     spare = np.empty((d, d), dtype=complex)
     # Output 3's kernels K are built in both arrays and left in slot 0,
@@ -494,7 +488,7 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
         out, positive=(2,), names=("output 1", "output 2", "output 3"), scratch=spare
     )
     return DistributorOutput(
-        *(DensityOperator._checked((d,), rho) for rho in out), inputs=(psi, ket)
+        *(DensityOperator._checked((d,), rho) for rho in out), inputs=(psi, program)
     )
 
 

@@ -34,13 +34,16 @@ def parse_csv(text):
 
 class TestClone:
     def test_qubit_row(self, capsys):
-        code, out, _ = run_cli(capsys, "clone", "--dim", "2")
+        code, out, _ = run_cli(capsys, "clone", "--dim-range", "2:2")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 1
         assert abs(float(rows[0]["s_closed"]) - 2 / 3) < 1e-12
         assert abs(float(rows[0]["F_closed"]) - 5 / 6) < 1e-12
         assert abs(float(rows[0]["F_simulated"]) - 5 / 6) < 1e-10
+
+    def test_default_is_the_qubit_row(self, capsys):
+        assert run_cli(capsys, "clone") == run_cli(capsys, "clone", "--dim-range", "2:2")
 
     def test_dim_range_table(self, capsys):
         code, out, _ = run_cli(capsys, "clone", "--dim-range", "2:6")
@@ -73,7 +76,7 @@ class TestClone:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "clone", "--dim", "3", "--format", "json")
+        code, out, _ = run_cli(capsys, "clone", "--dim-range", "3:3", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["schema_version"] == 1
@@ -353,10 +356,11 @@ class TestCv:
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
         assert calls == {"rfft2": forward, "irfft2": inverse}
 
-    @staticmethod
-    def _ffts_per_grid_row(monkeypatch, capsys):
-        """FFT calls made inside each grid row of ``cv --xi 0.5,1,4 --grid
-        256``, and all FFT calls of the command."""
+    def test_square_grid_rows_take_three_ffts(self, monkeypatch, capsys):
+        # a grid row is one rfft of the stacked (u, v, indicator) rows, which
+        # serves both axes of cv's square lattice, and one forward and one
+        # inverse FFT for both outputs' chirp-z sums; the closed-form row
+        # (xi = 4) takes none, so every call falls inside a grid row
         calls = {"fft": 0, "ifft": 0, "rfft": 0}
         per_row = []
 
@@ -382,22 +386,8 @@ class TestCv:
         code, out, _ = run_cli(capsys, "cv", "--xi", "0.5,1,4", "--grid", "256")
         assert code == 0
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
-        return per_row, sum(calls.values())
-
-    def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
-        # a grid row is one rfft for both axes and one forward and one inverse
-        # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
-        # takes none, so every call falls inside a grid row
-        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
-        assert len(per_row) == 2 and max(per_row) <= 4
-        assert total == sum(per_row)
-
-    def test_square_grid_rows_take_three_ffts(self, monkeypatch, capsys):
-        # cv's lattice is square, so one rfft of the stacked (u, v,
-        # indicator) rows serves both axes, beside the chirp-z pair
-        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
         assert per_row == [3, 3]
-        assert total == 6
+        assert sum(calls.values()) == sum(per_row) == 6
 
     def test_vacuum_is_built_once_per_process(self, monkeypatch, capsys):
         # the input is built and validated once, not per command or row, and
@@ -571,7 +561,7 @@ class TestCoherentClone:
 class TestOutputHandling:
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "clone", "--dim", "2", "--out", "result.csv")
+        code, out, _ = run_cli(capsys, "clone", "--dim-range", "2:2", "--out", "result.csv")
         assert code == 0
         assert out == ""
         assert (tmp_path / "result.csv").exists()
@@ -580,13 +570,13 @@ class TestOutputHandling:
         monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path / "unused"))
         target = tmp_path / "direct.json"
         code, _, _ = run_cli(
-            capsys, "clone", "--dim", "2", "--format", "json", "--out", str(target)
+            capsys, "clone", "--dim-range", "2:2", "--format", "json", "--out", str(target)
         )
         assert code == 0
         assert json.loads(target.read_text())["schema_version"] == 1
 
     def test_out_naming_a_directory(self, tmp_path, capsys):
-        code, out, err = run_cli(capsys, "clone", "--dim", "2", "--out", str(tmp_path))
+        code, out, err = run_cli(capsys, "clone", "--dim-range", "2:2", "--out", str(tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}: ")
@@ -604,7 +594,7 @@ class TestOutputHandling:
         assert err.count("\n") == 1
 
     def test_unknown_dimension_errors(self, capsys):
-        code, _, err = run_cli(capsys, "clone", "--dim", "1")
+        code, _, err = run_cli(capsys, "clone", "--dim-range", "1:1")
         assert code == 1
         assert "dimension" in err
 
@@ -613,7 +603,7 @@ def _cli_configs():
     seeds = st.integers(0, 2**32 - 1).map(str)
     alphas = st.floats(0.0, 1.0).map(repr)
     clone = st.builds(
-        lambda dim, seed: ("clone", "--dim", str(dim), "--seed", seed),
+        lambda dim, seed: ("clone", "--dim-range", f"{dim}:{dim}", "--seed", seed),
         st.integers(2, 16), seeds,
     )
     distribute = st.builds(
@@ -770,7 +760,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv", (
         ("distribute", "--dim", "3000000", "--alpha", "0.3"),
-        ("clone", "--dim", "3000000"),
+        ("clone", "--dim-range", "3000000:3000000"),
         ("covariance", "--dim", "3000000", "--trials", "1"),
     ))
     def test_out_of_memory_sizes(self, monkeypatch, capsys, argv):
@@ -835,8 +825,9 @@ class TestBadInput:
             ("distribute", "--dim", "x", "--alpha", "0.5"),
             ("distribute", "--dim", "3"),
             ("cv", "--format", "xml"),
-            ("clone", "--dim", "5", "--dim-range", "2:3"),
-            ("clone", "--dim", "2", "--dim-range", "3:4"),
+            # clone has no --dim: argparse reads it as a prefix of
+            # --dim-range, and 3 is not an A:B range
+            ("clone", "--dim", "3"),
             ("teleport",),
             (),
             # distribute's seed is the one in --input random:<seed>
@@ -845,8 +836,7 @@ class TestBadInput:
     )
     def test_argparse_rejections_take_the_error_line(self, capsys, argv):
         # options a command does not read, unparsable values, missing
-        # arguments, options that exclude each other and unknown commands
-        # leave like every other bad input
+        # arguments and unknown commands leave like every other bad input
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -930,7 +920,7 @@ def test_worst_keeps_its_rule(values, data):
 @pytest.mark.parametrize(
     "command, options",
     (
-        ("clone", ["--dim", "--dim-range", "--seed", "--out", "--format"]),
+        ("clone", ["--dim-range", "--seed", "--out", "--format"]),
         ("distribute", ["--dim", "--alpha", "--input", "--out"]),
         ("covariance", ["--dim", "--trials", "--seed", "--out"]),
         ("cv", ["--xi", "--alpha", "--grid", "--dump-wigner", "--out", "--format"]),

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from qidsim import cv_gaussian
 from qidsim.cv_gaussian import (
     GaussianState,
-    GridResolutionError,
     Lattice,
     WignerGrid,
     apply_symplectic,
@@ -469,7 +468,7 @@ class TestOutputWigner:
         out = convolve_with_kernel(grid, {1: 1.0, 2: 0.0, 3: 0.5}, xi)
         want = convolve_with_kernel(grid, {1: 1.0, 3: 0.5}, xi)
         assert np.array_equal(out.values, want.values)
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ValueError, match="half-range"):
             convolve_with_kernel(grid, {1: 1.0, 2: 1e-3}, xi)
 
     @settings(max_examples=10, deadline=None)
@@ -577,7 +576,7 @@ class TestOutputWigner:
 
     def test_guard_when_thermal_output_does_not_fit(self):
         grid = VACUUM.wigner_grid(WignerGrid.centered(4.0, 128))
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ValueError, match="half-range"):
             output_wigner(grid, 2.0, 0.5, solve_cv_beta(0.5, 2.0))
 
 
@@ -678,7 +677,7 @@ class TestOutputOverlaps:
 
     @pytest.mark.parametrize("alpha, failing", ((0.5, 1), (1.0, 2)))
     def test_guard_per_output(self, alpha, failing):
-        # the same GridResolutionError as the real-space path, output 1
+        # the same ValueError as the real-space path, output 1
         # first; at alpha = 1 only output 2 holds the wide kernel
         xi = 2.0
         beta = solve_cv_beta(alpha, xi)
@@ -686,9 +685,9 @@ class TestOutputOverlaps:
         u, v, grid = sampled_factors(VACUUM, lattice)
         for output in range(1, failing):
             output_wigner(grid, xi, alpha, beta, output=output)
-        with pytest.raises(GridResolutionError) as real_space:
+        with pytest.raises(ValueError, match="half-range") as real_space:
             output_wigner(grid, xi, alpha, beta, output=failing)
-        with pytest.raises(GridResolutionError) as spectral:
+        with pytest.raises(ValueError, match="half-range") as spectral:
             output_overlaps(lattice, u, v, xi, alpha, beta)
         assert str(spectral.value) == str(real_space.value)
 
@@ -882,7 +881,7 @@ class TestWignerGrid:
         assert np.abs(np.outer(u, v) - np.array(want)).max() < 1e-12
         assert np.array_equal(state.wigner_grid(lattice).values, np.outer(u, v))
         with pytest.raises(ValueError, match="single-mode"):
-            GaussianState.vacuum(2).wigner_factors(lattice)
+            tensor_gaussian(VACUUM, VACUUM).wigner_factors(lattice)
 
     def test_lattice_is_geometry_only(self):
         lattice = Lattice(3.0, 7)
@@ -1032,6 +1031,18 @@ class TestGaussianFidelity:
 
 
 class TestCoherentCloner:
+    def test_program_covariance_is_half_the_position_form_and_its_inverse(self):
+        # the program's wavefunction exp(-x^T M x / 2) has position covariance
+        # M^-1 / 2 and momentum covariance M / 2, interleaved (x2, p2, x3, p3)
+        m = np.array([[2.0, -1.0], [-1.0, 1.0]])
+        want = np.zeros((4, 4))
+        want[0::2, 0::2] = 0.5 * np.linalg.inv(m)
+        want[1::2, 1::2] = 0.5 * m
+        program = cloner_program_gaussian()
+        assert np.array_equal(program.mean, np.zeros(4))
+        assert program.cov.tobytes() == want.tobytes()
+        assert np.linalg.det(program.cov) == pytest.approx(1 / 16, abs=1e-15)
+
     def test_program_state_is_pure(self):
         program = cloner_program_gaussian()
         j = symplectic_form(2)

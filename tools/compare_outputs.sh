@@ -40,8 +40,12 @@ commands=(
     "cv --xi 0,0.5,3 --grid 160 --dump-wigner j --format json"
     "cv --xi 0.5 --grid 513 --format json"
     "distribute --dim 64 --alpha 0.3 --input random:3"
+    "distribute --dim 65 --alpha 0.3 --input random:3"
     "covariance --dim 5 --trials 2 --seed 1"
+    "covariance --dim 4 --trials 20 --seed 3"
     "clone --dim-range 2:12"
+    "clone"
+    "clone --dim-range 3:3 --format json"
     "coherent-clone --displacement 3+4j"
 )
 
