@@ -356,11 +356,10 @@ class TestCv:
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
         assert calls == {"rfft2": forward, "irfft2": inverse}
 
-    def test_square_grid_rows_take_three_ffts(self, monkeypatch, capsys):
-        # a grid row is one rfft of the stacked (u, v, indicator) rows, which
-        # serves both axes of cv's square lattice, and one forward and one
-        # inverse FFT for both outputs' chirp-z sums; the closed-form row
-        # (xi = 4) takes none, so every call falls inside a grid row
+    @staticmethod
+    def _ffts_per_grid_row(monkeypatch, capsys):
+        """FFT calls made inside each grid row of ``cv --xi 0.5,1,4 --grid
+        256``, and all FFT calls of the command."""
         calls = {"fft": 0, "ifft": 0, "rfft": 0}
         per_row = []
 
@@ -386,8 +385,22 @@ class TestCv:
         code, out, _ = run_cli(capsys, "cv", "--xi", "0.5,1,4", "--grid", "256")
         assert code == 0
         assert [r["method"] for r in parse_csv(out)] == ["grid", "grid", "asymptotic"]
+        return per_row, sum(calls.values())
+
+    def test_grid_rows_take_at_most_four_ffts(self, monkeypatch, capsys):
+        # a grid row is one rfft for both axes and one forward and one inverse
+        # FFT for both outputs' chirp-z sums; the closed-form row (xi = 4)
+        # takes none, so every call falls inside a grid row
+        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
+        assert len(per_row) == 2 and max(per_row) <= 4
+        assert total == sum(per_row)
+
+    def test_square_grid_rows_take_three_ffts(self, monkeypatch, capsys):
+        # cv's lattice is square, so one rfft of the stacked (u, v,
+        # indicator) rows serves both axes, beside the chirp-z pair
+        per_row, total = self._ffts_per_grid_row(monkeypatch, capsys)
         assert per_row == [3, 3]
-        assert sum(calls.values()) == sum(per_row) == 6
+        assert total == sum(per_row) == 6
 
     def test_vacuum_is_built_once_per_process(self, monkeypatch, capsys):
         # the input is built and validated once, not per command or row, and
@@ -828,6 +841,8 @@ class TestBadInput:
             # clone has no --dim: argparse reads it as a prefix of
             # --dim-range, and 3 is not an A:B range
             ("clone", "--dim", "3"),
+            # --trials is covariance's
+            ("clone", "--trials", "5"),
             ("teleport",),
             (),
             # distribute's seed is the one in --input random:<seed>
