@@ -417,7 +417,15 @@ def cmd_coherent_clone(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose rejections leave by main's one ``error:`` line."""
+    """Argument parser whose rejections leave by main's one ``error:`` line.
+
+    Options match by their full names only, so an abbreviation is rejected
+    like an unknown option; ``add_subparsers`` builds each command's parser
+    from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -442,7 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribute", help="full simulation vs closed-form reduced outputs")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--input", default="random:0", help="'random:<seed>' or amplitude list")
+    p.add_argument(
+        "--input",
+        default="random:0",
+        help="'random', 'random:<seed>' or a comma-separated amplitude list",
+    )
     p.add_argument("--out", **out)
     p.set_defaults(func=cmd_distribute)
 

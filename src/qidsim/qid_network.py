@@ -296,20 +296,16 @@ def cloner_program(dim: int) -> PureState:
 class _ChannelTables(NamedTuple):
     """Read-only ``take`` indices that depend on N alone.
 
-    ``rho_diag`` reads conj(psi) into rho's diagonals and ``diagonals`` the
-    flattened program matrix C into output 1's rows; ``shear`` reads the
-    flattened C into the Gram products' factors, and ``third`` reads the
-    flattened Gram products straight into output 3's kernels in the
-    multiplier's layout, K[delta, v + delta] at [v, delta].  ``back`` reads
-    one flattened (N, N) plane of :func:`distribute`, stored [x, delta],
-    back into a matrix.  ``columns`` is the width of the Gram products'
-    right factor.
+    ``diagonals`` reads the flattened program matrix C into output 1's rows;
+    ``shear`` reads the flattened C into the Gram products' factors, and
+    ``third`` reads the flattened Gram products straight into output 3's
+    kernels in the multiplier's layout, K[delta, v + delta] at [v, delta].
+    ``back`` reads one flattened (N, N) plane of :func:`distribute`, stored
+    [x, delta], back into a matrix.
     """
 
-    rho_diag: np.ndarray
     diagonals: np.ndarray
     shear: np.ndarray
-    columns: int
     third: np.ndarray
     back: np.ndarray
 
@@ -319,46 +315,42 @@ def _channel_tables(dim: int) -> _ChannelTables:
     """Index tables of :func:`distribute` and :func:`_third_output_kernels`.
 
     The tables of the last dimension asked for are cached and stay held
-    after :func:`distribute` returns: int64 indices of 48 bytes per N²
-    entry for even N and 40 for odd N, which is 50 MB at N = 1024 and
-    0.81 GB at N = 4096.
+    after :func:`distribute` returns: int64 indices of 40 bytes per N²
+    entry for even N and 32 for odd N, which is 42 MB at N = 1024 and
+    0.67 GB at N = 4096.
     """
     d = validate_dim(dim)
     x = np.arange(d)
     delta = x[:, None]
     # Output 3's sheared columns y_v[w] = C[w + s(v), v], gathered into the
-    # left factor Z of each Gram product, whose right factor is Z's first
-    # ``columns`` columns.  Odd N: one Z = [y_0 ... y_{N-1}].  Even N: one Z
-    # per column parity p, [y_p, y_{p+2}, ... | the same rolled by N/2].
+    # left factor Z of each Gram product, whose right factor is all of Z for
+    # odd N and Z's first N/2 columns for even N.  Odd N: one Z = [y_0 ...
+    # y_{N-1}].  Even N: one Z per column parity p, [y_p, y_{p+2}, ... | the
+    # same rolled by N/2].
     # ``third`` reads K[delta, u] = <y_{u'}, y_u> into [v, delta], where
     # u = v + delta and u' = u - 2 delta = v - delta; its rows v are
     # ``delta`` below and its columns delta are ``x``.
     u, u_prime = (delta + x) % d, (delta - x) % d
     if d % 2:
-        columns = d
         shift = x * ((d + 1) // 2) % d
         col = x[None, None, :]
         offset = shift[col]
         third = u_prime * d + u
     else:
-        columns = half = d // 2
+        half = d // 2
         shift = x // 2
         col = 2 * (x % half) + np.arange(2)[:, None, None]
         offset = shift[col] + half * (x >= half)
         rolled = (shift[u] - x - shift[u_prime]) % d != 0
         third = (u % 2) * d * half + (u_prime // 2 + half * rolled) * half + u // 2
     tables = _ChannelTables(
-        # rho[x, x + delta] = psi[x] * conj(psi[x + delta]): rho's diagonal -delta
-        rho_diag=(x + delta) % d,
         diagonals=x * d + (x - delta) % d,  # C[x, x - j]
         shear=((delta + offset) % d) * d + col,
-        columns=columns,
         third=third,
         back=delta * d + (x - delta) % d,  # out[a, b] reads [a, b - a]
     )
     for table in tables:
-        if isinstance(table, np.ndarray):
-            table.flags.writeable = False
+        table.flags.writeable = False
     return tables
 
 
@@ -382,7 +374,8 @@ def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray
     K from the products into slot 0.
     """
     tables = _channel_tables(coeffs.shape[0])
-    parts, d, columns = tables.shear.shape[0], coeffs.shape[0], tables.columns
+    parts, d = tables.shear.shape[0], coeffs.shape[0]
+    columns = d // parts
     left, right = out[:parts], out[2].reshape(parts, d, columns)
     np.take(coeffs, tables.shear, out=left, mode="clip")
     np.copyto(right, left[:, :, :columns])
@@ -420,10 +413,12 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     that holds the outputs, and one (N, N) spare slot.  Output 3's kernels
     are built in both and gathered into slot 0 in the multiplier's [v, delta]
     layout, its multiplier sits in the spare, and the transform of rho's
-    diagonals and outputs 1 and 2's multipliers in the stack.  Each
-    output is gathered into the stack slot before it, output 3 from the
-    spare.  The returned operators are views of the stack, and the spare is
-    the density checker's scratch.
+    diagonals and outputs 1 and 2's multipliers in the stack.  rho's
+    diagonals are copied from a strided window on conj(psi) written twice,
+    a 2N-entry buffer, so they need no cached index table.
+    Each output is gathered into the stack slot before it, output 3 from
+    the spare.  The returned operators are views of the stack, and the
+    spare is the density checker's scratch.
 
     Outputs 1 and 2 are certified positive by their Weyl weights: each is
     sum_ab p_ab W_ab rho W_ab^dag over the shifts W_ab = X^a Z^b, so weights
@@ -449,11 +444,14 @@ def distribute(psi: PureState, program: PureState) -> DistributorOutput:
     # sum_v K_delta(v + delta) * exp(-2 pi i k v / N), stored [k, delta].
     kernels = _third_output_kernels(coeffs, out, spare)
     np.fft.fft(kernels, axis=0, out=spare)
-    # Slot 0 holds rho's diagonals D[delta, x] = rho[x, x + delta], and
-    # slots 1 and 2 the rows whose circular autocorrelations are G_j (the
-    # diagonals C[x, x - j]) and H_j (the rows C[-j, u]); one FFT along x
-    # takes all three.
-    np.take(psi.amplitudes.conj(), tables.rho_diag, out=out[0], mode="clip")
+    # Slot 0 holds rho's diagonals D[delta, x] = rho[x, x + delta] =
+    # psi[x] * conj(psi[x + delta]): the window's row delta starts at entry
+    # delta of conj(psi) written twice.  Slots 1 and 2 hold the rows whose
+    # circular autocorrelations are G_j (the diagonals C[x, x - j]) and H_j
+    # (the rows C[-j, u]).  One FFT along x takes all three.
+    conj = psi.amplitudes.conj()
+    twice = np.concatenate((conj, conj))
+    np.copyto(out[0], np.ndarray((d, d), complex, buffer=twice, strides=twice.strides * 2))
     out[0] *= psi.amplitudes
     np.take(coeffs, tables.diagonals, out=out[1], mode="clip")
     out[2, 0] = coeffs[0]

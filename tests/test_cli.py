@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qidsim import cli, cv_gaussian, qid_network
-from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _finish, main
+from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _finish, build_parser, main
 from qidsim.qudit_core import DensityOperator, Operator
 
 
@@ -838,8 +839,7 @@ class TestBadInput:
             ("distribute", "--dim", "x", "--alpha", "0.5"),
             ("distribute", "--dim", "3"),
             ("cv", "--format", "xml"),
-            # clone has no --dim: argparse reads it as a prefix of
-            # --dim-range, and 3 is not an A:B range
+            # clone has no --dim: one N is --dim-range N:N
             ("clone", "--dim", "3"),
             # --trials is covariance's
             ("clone", "--trials", "5"),
@@ -847,11 +847,16 @@ class TestBadInput:
             (),
             # distribute's seed is the one in --input random:<seed>
             ("distribute", "--dim", "3", "--alpha", "0.5", "--seed", "5"),
+            # abbreviations of --dim-range, --input, --grid and --dump-wigner
+            ("clone", "--dim", "3:3"),
+            ("distribute", "--dim", "3", "--alpha", "0.5", "--in", "random:3"),
+            ("cv", "--xi", "1", "--g", "256", "--dump", "w"),
         ),
     )
     def test_argparse_rejections_take_the_error_line(self, capsys, argv):
-        # options a command does not read, unparsable values, missing
-        # arguments and unknown commands leave like every other bad input
+        # options a command does not read, abbreviated options, unparsable
+        # values, missing arguments and unknown commands leave like every
+        # other bad input
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -949,6 +954,77 @@ def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
     listed = [ln.split()[0].rstrip(",") for ln in capsys.readouterr().out.splitlines()
               if ln.startswith("  -")]
     assert listed == ["-h"] + options
+
+
+def _long_options():
+    """Each command's long options but --help, in the order of its --help,
+    read from build_parser()."""
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        command: [
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        ]
+        for command, parser in commands.items()
+    }
+
+
+# a value each option accepts, whichever command it belongs to
+_VALID_VALUES = {
+    "--dim-range": "2:3",
+    "--seed": "1",
+    "--out": "result",
+    "--format": "json",
+    "--dim": "3",
+    "--alpha": "0.5",
+    "--input": "random:3",
+    "--trials": "2",
+    "--xi": "1",
+    "--grid": "64",
+    "--dump-wigner": "w",
+    "--displacement": "3+4j",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_long_options()))
+def test_every_abbreviated_option_takes_the_error_line(tmp_path, monkeypatch, capsys, command):
+    # options match by their full names only: each proper prefix of each long
+    # option, in an argv that parses with every option spelled in full, is
+    # rejected like an unknown option
+    monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+    options = _long_options()[command]
+    argv = [command]
+    for option in options:
+        argv += [option, _VALID_VALUES[option]]
+    assert build_parser().parse_args(argv).command == command
+    for option in options:
+        for end in range(3, len(option)):
+            prefix = option[:end]
+            if prefix in options:
+                continue
+            abbreviated = [prefix if token == option else token for token in argv]
+            code, out, err = run_cli(capsys, *abbreviated)
+            assert code == 1, abbreviated
+            assert out == "", abbreviated
+            assert err.startswith("error: ") and err.count("\n") == 1, abbreviated
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_table_lists_each_commands_options():
+    # the table and --help together are the whole accepted interface: each
+    # command's row names exactly the long options its parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("```", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    assert len(rows) == len({command for command, _ in rows})
+    table = {command: re.findall(r"`(--[a-z-]+)", options) for command, options in rows}
+    assert table == _long_options()
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

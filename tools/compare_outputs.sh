@@ -41,6 +41,7 @@ commands=(
     "cv --xi 0.5 --grid 513 --format json"
     "distribute --dim 64 --alpha 0.3 --input random:3"
     "distribute --dim 65 --alpha 0.3 --input random:3"
+    "distribute --dim 3 --alpha 0.5 --input 1,1j,0.5"
     "covariance --dim 5 --trials 2 --seed 1"
     "covariance --dim 4 --trials 20 --seed 3"
     "clone --dim-range 2:12"
