@@ -125,26 +125,38 @@ def _bad_option(option: str, value: str, expected: str) -> ValueError:
     return ValueError(f"{option} expects {expected}, got {value!r}")
 
 
+def _decimal(text: str) -> int | None:
+    """The n >= 0 that ``str(n)`` writes as ``text``, else None: ASCII digits
+    with no sign, ``_``, blank or leading zero, so each integer value has one
+    spelling."""
+    if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
+        return int(text)
+    return None
+
+
+def _count(option: str, text: str, least: int) -> int:
+    """The integer value of ``option``, spelled as ``_decimal`` reads it and
+    at least ``least``."""
+    n = _decimal(text)
+    if n is None or n < least:
+        raise _bad_option(option, text, f"an integer >= {least}")
+    return n
+
+
 def _parse_dims(args) -> list[int]:
-    lo, _, hi = args.dim_range.partition(":")
-    try:
-        dims = list(range(int(lo), int(hi) + 1))
-    except ValueError:
-        dims = []  # unparsable bounds get the same error as an empty range
-    if not dims:
+    # with no ':', hi is empty, and _decimal rejects it like any bad bound
+    lo, _, hi = map(_decimal, args.dim_range.partition(":"))
+    if lo is None or hi is None or lo > hi:
         raise _bad_option("--dim-range", args.dim_range, "A:B with integers A <= B")
-    return dims
+    return list(range(lo, hi + 1))
 
 
 def _parse_input_spec(spec: str, dim: int) -> tuple[PureState, int | None]:
-    """`random` (seed 0), `random:<seed>` or an explicit comma-separated amplitude list."""
+    """`random:<seed>` or an explicit comma-separated amplitude list."""
     if spec.startswith("random"):
-        name, colon, seed_text = spec.partition(":")
-        if name != "random" or (colon and not seed_text.isdecimal()):
-            raise _bad_option(
-                "--input", spec, "random or random:<seed> with a non-negative integer seed"
-            )
-        seed = int(seed_text) if colon else 0
+        seed = _decimal(spec.removeprefix("random:"))
+        if seed is None:
+            raise _bad_option("--input", spec, "random:<seed> with a non-negative integer seed")
         return haar_random_state((dim,), np.random.default_rng(seed)), seed
     try:
         amps = np.array([complex(tok) for tok in spec.split(",")])
@@ -171,7 +183,7 @@ def _parse_input_spec(spec: str, dim: int) -> tuple[PureState, int | None]:
 
 
 def cmd_clone(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_count("--seed", args.seed, 0))
     rows, deviations = [], []
     for dim in _parse_dims(args):
         # the N^2 program draws nothing, so building it first fails an
@@ -215,7 +227,7 @@ def _closed_form_deviation(outputs, psi: PureState, coefficients) -> float:
 
 
 def cmd_distribute(args) -> int:
-    dim = args.dim
+    dim = _count("--dim", args.dim, 2)
     beta = net.solve_beta(dim, args.alpha)
     # the N^2 program draws nothing, so building it first fails an
     # impossible N before the input is drawn
@@ -246,21 +258,21 @@ def cmd_distribute(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    dim = args.dim
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    dim = _count("--dim", args.dim, 2)
+    trials = _count("--trials", args.trials, 1)
+    seed = _count("--seed", args.seed, 0)
     # the N^2 program is the first allocation an impossible N fails; meet it
     # before the first input is drawn, leaving the random stream as it is
     net.cloner_program(dim)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     shifts = [(n, m) for n in range(dim) for m in range(dim)]
     deviations = []
-    for _ in range(args.trials):
+    for _ in range(trials):
         psi = haar_random_state((dim,), rng)
         program = net.program_state(dim, *_random_alpha_beta(dim, rng))
         deviations.append(net.covariance_deviation(psi, program, shifts))
     worst = _worst(deviations)
-    doc = {"dim": dim, "trials": args.trials, "seed": args.seed, "max_deviation": worst}
+    doc = {"dim": dim, "trials": trials, "seed": seed, "max_deviation": worst}
     return _finish(args, doc, [("covariance deviation", worst, 1e-8)])
 
 
@@ -308,15 +320,14 @@ def _vacuum() -> cv.GaussianState:
 
 
 def cmd_cv(args) -> int:
+    points = _count("--grid", args.grid, 2)
     # an empty stem would read as no --dump-wigner and write nothing
     if args.dump_wigner == "":
         raise _bad_option("--dump-wigner", args.dump_wigner, "a non-empty file stem")
-    if args.grid < 2:
-        raise ValueError(f"--grid must be at least 2, got {args.grid}")
     cap = DUMP_GRID_MAX if args.dump_wigner else GRID_MAX
-    if args.grid > cap:
+    if points > cap:
         also = " with --dump-wigner" if args.dump_wigner else ""
-        raise ValueError(f"--grid must be at most {cap}{also}, got {args.grid}")
+        raise ValueError(f"--grid must be at most {cap}{also}, got {points}")
     try:
         xis = [float(tok) for tok in args.xi.split(",")]
     except ValueError:
@@ -346,7 +357,7 @@ def cmd_cv(args) -> int:
         if xi <= cv.XI_GRID_MAX:
             # the vacuum input is u(x) v(p) on the lattice; a 2-D grid is
             # sampled only to be convolved and written out
-            lattice = cv.Lattice(cv.suggested_half_width(xi), args.grid)
+            lattice = cv.Lattice(cv.suggested_half_width(xi), points)
             u, v = vacuum.wigner_factors(lattice)
             (row["F1"], mass1), (row["F2"], mass2) = cv.output_overlaps(
                 lattice, u, v, xi, alpha, beta
@@ -359,7 +370,7 @@ def cmd_cv(args) -> int:
             # broadened outputs loses mass, and its fidelities are wrong
             mass_in = float(u.sum() * v.sum() * lattice.dx**2 / (2 * np.pi))
             mass_error = _worst(abs(m - 1.0) for m in (mass_in, mass1, mass2))
-            unresolved = f"--grid {args.grid} cannot resolve xi={xi}:"
+            unresolved = f"--grid {points} cannot resolve xi={xi}:"
             gates.append(
                 (f"{unresolved} Riemann mass of the input or an output is off 1 by", mass_error, 1e-6)
             )
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: it reads no environment."""
     parser = _Parser(prog="qidsim", description="Quantum information distributor experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = {"type": int, "default": 0, "help": "64-bit RNG seed"}
+    seed = {"default": "0", "help": "non-negative integer RNG seed"}
     out = {"default": None, "help": f"output path (joined to ${OUTPUT_DIR_ENV} if relative)"}
     fmt = {"choices": ("csv", "json"), "default": "csv"}
 
@@ -448,19 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_clone)
 
     p = sub.add_parser("distribute", help="full simulation vs closed-form reduced outputs")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument(
-        "--input",
-        default="random:0",
-        help="'random', 'random:<seed>' or a comma-separated amplitude list",
+        "--input", default="random:0", help="'random:<seed>' or a comma-separated amplitude list"
     )
     p.add_argument("--out", **out)
     p.set_defaults(func=cmd_distribute)
 
     p = sub.add_parser("covariance", help="displacement covariance of the distributor")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--dim", required=True)
+    p.add_argument("--trials", default="10")
     p.add_argument("--seed", **seed)
     p.add_argument("--out", **out)
     p.set_defaults(func=cmd_covariance)
@@ -468,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="continuous-variable kernel norms and output fidelities")
     p.add_argument("--xi", default="0,0.5,1,2", help="comma-separated squeezing values")
     p.add_argument("--alpha", type=float, default=math.sqrt(0.5))
-    p.add_argument("--grid", type=int, default=512, help="grid points per axis")
+    p.add_argument("--grid", default="512", help="grid points per axis")
     p.add_argument(
         "--dump-wigner",
         default=None,
@@ -490,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if vars(args).get("seed", 0) < 0:
-            raise _bad_option("--seed", str(args.seed), "a non-negative integer")
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))

@@ -819,6 +819,9 @@ class TestBadInput:
              "--input", "randomly"),
             (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:"),
              "--input", "random:"),
+            # the default is random:0; a bare random is not a second spelling of it
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random"),
+             "--input", "random"),
         ),
     )
     def test_parse_errors_name_the_option(self, capsys, argv, option, value):
@@ -985,11 +988,20 @@ _VALID_VALUES = {
     "--alpha": "0.5",
     "--input": "random:3",
     "--trials": "2",
-    "--xi": "1",
+    "--xi": "0.5",
     "--grid": "64",
     "--dump-wigner": "w",
     "--displacement": "3+4j",
 }
+
+
+def _full_argv(command):
+    """The command with each of its long options and the option's value
+    from _VALID_VALUES, in the order of its --help."""
+    argv = [command]
+    for option in _long_options()[command]:
+        argv += [option, _VALID_VALUES[option]]
+    return argv
 
 
 @pytest.mark.parametrize("command", sorted(_long_options()))
@@ -999,9 +1011,7 @@ def test_every_abbreviated_option_takes_the_error_line(tmp_path, monkeypatch, ca
     # rejected like an unknown option
     monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
     options = _long_options()[command]
-    argv = [command]
-    for option in options:
-        argv += [option, _VALID_VALUES[option]]
+    argv = _full_argv(command)
     assert build_parser().parse_args(argv).command == command
     for option in options:
         for end in range(3, len(option)):
@@ -1014,6 +1024,45 @@ def test_every_abbreviated_option_takes_the_error_line(tmp_path, monkeypatch, ca
             assert out == "", abbreviated
             assert err.startswith("error: ") and err.count("\n") == 1, abbreviated
     assert list(tmp_path.iterdir()) == []
+
+
+# spellings of an integer that int() reads but str() never writes
+_OTHER_SPELLINGS = ("+3", "03", " 3", "3 ", "1_0", "\u0663", "\uff13", "-0")
+
+
+def _integer_slots(argv):
+    """(index, part) of each integer among argv's option values: a value of
+    ASCII digits, or such a part of a value split at ':', as in --dim-range
+    A:B and --input random:<seed>."""
+    return [
+        (at, j)
+        for at in range(2, len(argv), 2)
+        for j, part in enumerate(argv[at].split(":"))
+        if part.isascii() and part.isdigit()
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", sorted(c for c in _long_options() if _integer_slots(_full_argv(c)))
+)
+def test_every_integer_value_has_one_spelling(tmp_path, monkeypatch, capsys, command):
+    # an integer value is read only as str(n) writes it: in an argv that
+    # runs, each other spelling of one integer, a whole value, a --dim-range
+    # bound or the --input seed, is rejected by one error line naming its option
+    argv = _full_argv(command)
+    monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path / "valid"))
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path / "respelled"))
+    for at, j in _integer_slots(argv):
+        parts = argv[at].split(":")
+        for text in _OTHER_SPELLINGS:
+            parts[j] = text
+            respelled = argv[:at] + [":".join(parts)] + argv[at + 1:]
+            code, out, err = run_cli(capsys, *respelled)
+            assert (code, out) == (1, ""), respelled
+            assert err.startswith("error: ") and err.count("\n") == 1, respelled
+            assert argv[at - 1] in err, respelled
+    assert not (tmp_path / "respelled").exists()
 
 
 def test_readme_cli_table_lists_each_commands_options():

@@ -31,7 +31,16 @@ from qidsim.qid_network import (
     two_branch_beta,
 )
 from qidsim.cli import XI_MAX
-from qidsim.cv_gaussian import k3_total_weight, solve_cv_beta
+from qidsim.cv_gaussian import (
+    GaussianState,
+    cloner_program_gaussian,
+    cv_fidelity_asymptotic,
+    epr_wavefunction,
+    k3_total_weight,
+    p0_wavefunction,
+    solve_cv_beta,
+    x0_wavefunction,
+)
 from qidsim.qudit_core import (
     MAX_TRIPARTITE_DIM,
     DensityOperator,
@@ -797,3 +806,83 @@ class TestClassicalDistributor:
             classical_distributor_fidelity(0, 2, 0.0)
         with pytest.raises(ValueError):
             classical_distributor_fidelity(1, 2, 1.5)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(a - b)).sum() / 2)
+
+
+class TestClassicalLimit:
+    """The symmetric cloner against the coin-flip router rho -> (rho x 1/N +
+    1/N x rho) / 2: each clone is the router's up to O(1/N), the clone pair
+    stays (N - 1) / (2N) away, the router's own antisymmetric weight."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_classical_clone_by_clone_not_jointly(self, dim):
+        psi = haar_random_state((dim,), np.random.default_rng(300 + dim))
+        out = distribute(psi, cloner_program(dim))
+        rho12 = partial_trace(out.joint, (0, 1)).matrix
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        mixed = np.eye(dim) / dim
+        router = (np.kron(rho, mixed) + np.kron(mixed, rho)) / 2
+        # swap |a b> -> |b a>, and the projector onto the antisymmetric space
+        swap = np.eye(dim * dim).reshape((dim,) * 4).transpose(0, 1, 3, 2).reshape(rho12.shape)
+        anti = (np.eye(dim * dim) - swap) / 2
+        clone_gap = (dim - 1) / (2 * dim * (dim + 1))
+        assert abs(_trace_distance(out.rho1.matrix, (rho + mixed) / 2) - clone_gap) <= 1e-12
+        assert abs(_trace_distance(rho12, router) - (dim - 1) / (2 * dim)) <= 1e-12
+        assert abs(np.trace(anti @ rho12)) <= 1e-12
+
+
+def _lattice_positions(dim: int) -> np.ndarray:
+    """x_k = h k with h = sqrt(2 pi / N) and cyclic labels, k - N for k >= N/2:
+    X and Z then displace by h, and the circuit's index arithmetic mod N is
+    position arithmetic."""
+    k = np.arange(dim)
+    return math.sqrt(2 * math.pi / dim) * np.where(k >= dim / 2, k - dim, k)
+
+
+def _unit(amplitudes) -> np.ndarray:
+    amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+class TestContinuousLimitOnTheLattice:
+    """Continuous-variable programs sampled on the lattice run through the
+    unmodified qudit circuit and give the continuous closed forms."""
+
+    @pytest.mark.parametrize("dim", (64, 65, 256))
+    @pytest.mark.parametrize("z", (0j, 3 + 4j))
+    def test_gaussian_cloner_program(self, dim, z):
+        # C[m, k] ~ exp(-(x_m, x_k) M (x_m, x_k)^T / 2), M the inverse of
+        # twice the program's position covariance: exp(-(x_m^2 + (x_k - x_m)^2) / 2)
+        x = _lattice_positions(dim)
+        m = np.linalg.inv(2 * cloner_program_gaussian().cov[0::2, 0::2])
+        pair = np.stack(np.meshgrid(x, x, indexing="ij"))
+        form = np.einsum("iab,ij,jab->ab", pair, m, pair)
+        program = PureState((dim, dim), _unit(np.exp(-form / 2)))
+        x0, p0 = GaussianState.coherent(z).mean
+        psi = PureState((dim,), _unit(np.exp(-((x - x0) ** 2) / 2 + 1j * p0 * x)))
+        out = distribute(psi, program)
+        conjugate = PureState((dim,), psi.amplitudes.conj())
+        assert abs(fidelity(out.rho1, psi) - 2 / 3) <= 1e-13
+        assert abs(fidelity(out.rho2, psi) - 2 / 3) <= 1e-13
+        # the anticlone value of the coherent-state pipeline (c10's 1/2)
+        assert abs(fidelity(out.rho3, conjugate) - 1 / 2) <= 1e-13
+
+    @pytest.mark.parametrize("xi, dim", ((0.25, 64), (0.5, 64), (1.0, 256)))
+    def test_two_branch_program(self, xi, dim):
+        # xi = 0 is left out: its branches coincide, and their lattice
+        # overlap rounds above 1
+        alpha = 0.7
+        x = _lattice_positions(dim)
+        xm, xk = np.meshgrid(x, x, indexing="ij")
+        entangled = _unit(epr_wavefunction(xi, xm, xk))
+        product = _unit(x0_wavefunction(xi, xm) * p0_wavefunction(xi, xk))
+        beta = two_branch_beta(alpha, np.vdot(entangled, product).real)
+        program = PureState((dim, dim), alpha * entangled + beta * product)
+        psi = PureState((dim,), _unit(np.exp(-(x**2) / 2)))
+        out = distribute(psi, program)
+        closed = [cv_fidelity_asymptotic(xi, alpha, solve_cv_beta(alpha, xi), k) for k in (1, 2)]
+        assert abs(fidelity(out.rho1, psi) - closed[0]) <= 1e-13
+        assert abs(fidelity(out.rho2, psi) - closed[1]) <= 1e-13

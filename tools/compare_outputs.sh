@@ -39,11 +39,14 @@ commands=(
     "cv --xi 1 --grid 256 --dump-wigner w --format csv"
     "cv --xi 0,0.5,3 --grid 160 --dump-wigner j --format json"
     "cv --xi 0.5 --grid 513 --format json"
+    "cv --xi 0.5,3 --grid 512 --alpha 1"
     "distribute --dim 64 --alpha 0.3 --input random:3"
     "distribute --dim 65 --alpha 0.3 --input random:3"
     "distribute --dim 3 --alpha 0.5 --input 1,1j,0.5"
+    "distribute --dim 5 --alpha 0.6 --input random:18446744073709551616"
     "covariance --dim 5 --trials 2 --seed 1"
     "covariance --dim 4 --trials 20 --seed 3"
+    "covariance --dim 3 --trials 2 --seed 18446744073709551616"
     "clone --dim-range 2:12"
     "clone"
     "clone --dim-range 3:3 --format json"
