@@ -128,9 +128,13 @@ def _bad_option(option: str, value: str, expected: str) -> ValueError:
 def _decimal(text: str) -> int | None:
     """The n >= 0 that ``str(n)`` writes as ``text``, else None: ASCII digits
     with no sign, ``_``, blank or leading zero, so each integer value has one
-    spelling."""
+    spelling.  Also None past int()'s digit limit (4300 by default), so the
+    caller's error names its option."""
     if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            return None
     return None
 
 

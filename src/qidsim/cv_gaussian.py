@@ -224,7 +224,17 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """Gaussian state: mean vector and covariance over interleaved quadratures."""
+    """Gaussian state: mean vector and covariance over interleaved quadratures.
+
+    A covariance is accepted when the smallest eigenvalue of cov + (i/2) J
+    is at least -1e-9 (the uncertainty relation).  For one mode, with
+    variances a, b and x-p covariance c, that matrix's eigenvalues are
+    m +- r with m = (a + b)/2 and r = hypot((a - b)/2, c, 1/2), and the
+    smaller is taken in closed form: det / (m + r) = (ab - c^2 - 1/4) / (m + r)
+    when m > 0, which does not cancel for a strongly squeezed pure state,
+    else m - r.  So a one-mode state, the only kind the ``cv`` command
+    builds, needs no LAPACK; two or more modes use ``eigvalsh``.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -238,8 +248,16 @@ class GaussianState:
             raise ValueError("mean and covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric")
-        j = symplectic_form(mean.size // 2)
-        min_eig = float(np.linalg.eigvalsh(cov + 0.5j * j).min())
+        if mean.size == 2:
+            # c from the lower triangle, as eigvalsh reads it; the product
+            # terms are divided by m + r >= max(a, b, |c|) first, so none overflows
+            (a, _), (c, b) = cov.tolist()
+            mid, radius = a / 2 + b / 2, math.hypot(a / 2 - b / 2, c, 0.5)
+            top = mid + radius
+            min_eig = (a / top) * b - (c / top) * c - 0.25 / top if mid > 0 else mid - radius
+        else:
+            j = symplectic_form(mean.size // 2)
+            min_eig = float(np.linalg.eigvalsh(cov + 0.5j * j).min())
         if min_eig < -1e-9:
             raise ValueError(f"covariance violates the uncertainty relation by {min_eig:.3e}")
         self.mean, self.cov = mean, cov

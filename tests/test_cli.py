@@ -422,6 +422,20 @@ class TestCv:
         with pytest.raises(ValueError, match="read-only"):
             state.cov[0, 0] = 1.0
 
+    def test_calls_no_linalg_function(self, monkeypatch, capsys):
+        # the one-mode vacuum is validated in closed form, so a cv run pages
+        # in no LAPACK; every numpy.linalg solver the library could reach raises
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals", "cholesky", "solve", "inv",
+                     "det", "slogdet", "svd", "qr", "lstsq", "pinv", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        cli._vacuum.cache_clear()
+        code, out, err = run_cli(capsys, "cv", "--xi", "0.5,3", "--grid", "512")
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)) == 2
+
     @pytest.mark.parametrize("xi", (0.0, 0.5, 3.0, 177.6, XI_MAX))
     def test_kernel_norms_match_each_kernels_rule(self, capsys, xi):
         # each printed norm equals the trapezoid rule on its kernel alone,
@@ -830,6 +844,26 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"error: {option} expects") and err.count("\n") == 1
         assert repr(value) in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        (
+            (("clone", "--seed", "{}"), "--seed"),
+            (("covariance", "--dim", "3", "--trials", "1", "--seed", "{}"), "--seed"),
+            (("distribute", "--dim", "3", "--alpha", "0.5", "--input", "random:{}"), "--input"),
+            (("cv", "--grid", "{}"), "--grid"),
+            (("clone", "--dim-range", "2:{}"), "--dim-range"),
+            (("distribute", "--dim", "{}", "--alpha", "0.5"), "--dim"),
+            (("covariance", "--dim", "3", "--trials", "{}"), "--trials"),
+        ),
+    )
+    def test_integers_past_the_digit_limit_name_the_option(self, capsys, argv, option):
+        # int() refuses more than 4300 digits by default; such a value is
+        # rejected like any other bad integer, by the line naming its option
+        digits = "1" + "0" * 4999
+        code, out, err = run_cli(capsys, *(arg.format(digits) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {option} expects") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

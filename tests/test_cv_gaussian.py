@@ -1030,6 +1030,107 @@ class TestGaussianFidelity:
                 GaussianState(np.zeros(2), np.array([[bad, 0.0], [0.0, 0.5]]))
 
 
+def _accepted(cov: np.ndarray) -> bool:
+    try:
+        GaussianState(np.zeros(len(cov)), cov)
+    except ValueError as exc:
+        assert "violates the uncertainty relation" in str(exc)
+        return False
+    return True
+
+
+def _one_mode_covariances(rng: np.random.Generator, count: int):
+    """Seeded one-mode covariances, valid and not: independent entries at
+    unit scale and at scales 1e-3 to 1e6, and rotated squeezed states near
+    purity, squeezed up to r = 6."""
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            (a, b), c = rng.uniform(-1.0, 3.0, 2), rng.uniform(-2.0, 2.0)
+        elif kind == 1:
+            scale = 10.0 ** rng.uniform(-3.0, 6.0)
+            (a, b), c = scale * rng.uniform(0.0, 1.0, 2), scale * rng.uniform(-0.5, 0.5)
+        else:
+            r, theta = rng.uniform(0.0, 6.0), rng.uniform(0.0, math.pi)
+            rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            cov = rng.uniform(0.99, 1.01) * rot @ np.diag([math.exp(-2 * r), math.exp(2 * r)]) @ rot.T / 2
+            (a, c), (_, b) = cov.tolist()
+        yield np.array([[a, c], [c, b]])
+
+
+class TestUncertaintyRelation:
+    @pytest.mark.parametrize(
+        "cov, by",
+        (
+            (0.4 * np.eye(2), r"-1\.000e-01"),
+            (np.diag([1.0, 0.2]), r"-4\.031e-02"),
+            (0.4 * np.eye(4), r"-1\.000e-01"),
+            # m + r = 0: the eigenvalues are 0 and -1
+            (-0.5 * np.eye(2), r"-1\.000e\+00"),
+            # ab and c^2 overflow; the smallest eigenvalue is about -1e185
+            (1e200 * np.array([[1.0, 1 + 1e-15], [1 + 1e-15, 1.0]]), r"-1\.\d{3}e\+185"),
+        ),
+    )
+    def test_violating_covariance_rejected(self, cov, by):
+        with pytest.raises(ValueError, match=f"violates the uncertainty relation by {by}$"):
+            GaussianState(np.zeros(len(cov)), cov)
+
+    @pytest.mark.parametrize(
+        "cov",
+        (
+            0.5 * np.eye(2),
+            np.array([[0.9, 0.35], [0.35, 0.6]]),
+            *(np.diag([math.exp(-2 * xi) / 2, math.exp(2 * xi) / 2]) for xi in (1, 5, 10)),
+            # ab and c^2 overflow; the smallest eigenvalue is -1/(8e200)
+            np.full((2, 2), 1e200),
+        ),
+    )
+    def test_physical_covariance_accepted(self, cov):
+        assert _accepted(cov)
+
+    def test_one_mode_closed_form_is_eigvalshs_smallest_eigenvalue(self):
+        # the check's smallest eigenvalue is probed by shifting the covariance
+        # by t * 1, which shifts every eigenvalue by t: the state just above
+        # the -1e-9 tolerance by eigvalsh's value is accepted and the one just
+        # below is rejected, so the two values agree within the margin, a
+        # few hundred roundings at the entries' scale
+        j = symplectic_form(1)
+        for cov in _one_mode_covariances(np.random.default_rng(31), 3000):
+            ref = float(np.linalg.eigvalsh(cov + 0.5j * j).min())
+            margin = 1e-13 * (1.0 + np.abs(cov).sum())
+            if abs(ref + 1e-9) > margin:
+                assert _accepted(cov) == (ref >= -1e-9), cov
+            shift = -1e-9 - ref
+            assert _accepted(cov + (shift + margin) * np.eye(2)), cov
+            assert not _accepted(cov + (shift - margin) * np.eye(2)), cov
+
+    def test_pure_states_with_large_variances_accepted(self):
+        # ab - c^2 = 1/4 up to b's rounding: the smallest eigenvalue is
+        # within 1e-13 of 0, but m and r agree only to rounding at their
+        # scale, so the difference m - r would reject hundreds of these
+        rng = np.random.default_rng(3131)
+        for _ in range(500):
+            a, c = 10.0 ** rng.uniform(-6.0, 6.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 7.0)
+            cov = np.array([[a, c], [c, (c * c + 0.25) / a]])
+            assert _accepted(cov), cov
+
+    def test_eigvalsh_checks_two_or_more_modes_only(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        GaussianState.vacuum()
+        GaussianState(np.zeros(2), np.array([[0.9, 0.35], [0.35, 0.6]]))
+        assert calls == []
+        regularized_epr(0.5)
+        tensor_gaussian(VACUUM, VACUUM, VACUUM)
+        assert calls == [(4, 4), (6, 6)]
+
+
 class TestCoherentCloner:
     def test_program_covariance_is_half_the_position_form_and_its_inverse(self):
         # the program's wavefunction exp(-x^T M x / 2) has position covariance

@@ -834,6 +834,102 @@ class TestClassicalLimit:
         assert abs(np.trace(anti @ rho12)) <= 1e-12
 
 
+def _swap(dim: int) -> np.ndarray:
+    """S|a b> = |b a> on two registers of dimension ``dim``."""
+    return np.eye(dim * dim).reshape((dim,) * 4).transpose(0, 1, 3, 2).reshape(dim * dim, -1)
+
+
+class TestClonePairClosedForm:
+    """The (alpha, beta) family's clone pair on a pure input rho, in closed
+    form: rho12 = (1/N)[a^2 rho x 1 + b^2 1 x rho + ab (S(rho x 1) + (rho x 1)S)],
+    S the swap, and what follows from it, its trace distance to the router
+    R_p = p rho x 1/N + (1 - p) 1/N x rho and its antisymmetric weight."""
+
+    @staticmethod
+    def _pair(dim: int, alpha: float):
+        beta = solve_beta(dim, alpha)
+        psi = haar_random_state((dim,), np.random.default_rng(3100 + dim))
+        out = distribute(psi, program_state(dim, alpha, beta))
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return beta, rho, partial_trace(out.joint, (0, 1)).matrix
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.6, 0.8))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 8))
+    def test_joint_state(self, dim, alpha):
+        beta, rho, rho12 = self._pair(dim, alpha)
+        eye, swap = np.eye(dim), _swap(dim)
+        first = np.kron(rho, eye)
+        closed = (
+            alpha**2 * first
+            + beta**2 * np.kron(eye, rho)
+            + alpha * beta * (swap @ first + first @ swap)
+        ) / dim
+        assert np.abs(rho12 - closed).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.6, 0.8))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 8))
+    def test_distance_to_the_router(self, dim, alpha):
+        beta, rho, rho12 = self._pair(dim, alpha)
+        mixed = np.eye(dim) / dim
+        for p in (alpha**2, 1 - beta**2, 0.5):
+            router = p * np.kron(rho, mixed) + (1 - p) * np.kron(mixed, rho)
+            block = np.array([[alpha**2 - p, alpha * beta], [alpha * beta, beta**2 - 1 + p]])
+            closed = alpha * beta * (dim - 1) / dim**2 + (dim - 1) / (2 * dim) * np.abs(
+                np.linalg.eigvalsh(block)
+            ).sum()
+            assert abs(_trace_distance(rho12, router) - closed) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.6, 0.8))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5, 8))
+    def test_antisymmetric_weight(self, dim, alpha):
+        beta, _, rho12 = self._pair(dim, alpha)
+        anti = (np.eye(dim * dim) - _swap(dim)) / 2
+        closed = (1 - (alpha**2 + beta**2) / dim - 2 * alpha * beta) / 2
+        assert abs(np.trace(anti @ rho12).real - closed) <= 1e-12
+
+
+def _weyl_weights(program: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs 1 and 2's Weyl weights, indexed [shift a, phase b], from the
+    program's amplitude matrix C alone:
+    p1[a, b] = |sum_u C[u, u - a] w^-bu|^2 / N and
+    p2[a, b] = |sum_u C[-a, u] w^-bu|^2 / N, with w = exp(2 pi i / N)."""
+    dim = len(program)
+    u, a = np.arange(dim), np.arange(dim)[:, None]
+    phase = np.exp(-2j * np.pi * np.outer(u, u) / dim)  # [u, b]
+    p1 = np.abs(program[u, (u - a) % dim] @ phase) ** 2 / dim
+    p2 = np.abs(program[-a[:, 0] % dim] @ phase) ** 2 / dim
+    return p1, p2
+
+
+class TestInputFreeFidelities:
+    """Each clone's fidelity is a Weyl mixture's: F_i(phi) = sum_ab
+    p_i[a, b] |<phi|X^a Z^b|phi>|^2, with weights that depend on the program
+    alone, and its Haar average is (N p_i[0, 0] + 1)/(N + 1)."""
+
+    @pytest.mark.parametrize("dim", (3, 5, 6))
+    def test_fidelity_is_a_weyl_mixture(self, dim):
+        rng = np.random.default_rng(3200 + dim)
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        program = PureState((dim, dim), (matrix / np.linalg.norm(matrix)).ravel())
+        phi = haar_random_state((dim,), rng)
+        out = distribute(phi, program)
+        overlaps = np.array(
+            [
+                [abs(np.vdot(phi.amplitudes, shift_x(dim, a).matrix @ shift_p(dim, b).matrix @ phi.amplitudes)) ** 2
+                 for b in range(dim)]
+                for a in range(dim)
+            ]
+        )
+        for weights, rho in zip(_weyl_weights(program.amplitudes.reshape(dim, dim)), (out.rho1, out.rho2)):
+            assert abs(weights.sum() - 1) <= 1e-12
+            assert abs(fidelity(rho, phi) - (weights * overlaps).sum()) <= 1e-12
+
+    @pytest.mark.parametrize("dim", (2, 3, 7, 64))
+    def test_haar_average_is_the_cloner_fidelity(self, dim):
+        p1, _ = _weyl_weights(cloner_program(dim).amplitudes.reshape(dim, dim))
+        assert abs((dim * p1[0, 0] + 1) / (dim + 1) - clone_fidelity(dim)) <= 1e-14
+
+
 def _lattice_positions(dim: int) -> np.ndarray:
     """x_k = h k with h = sqrt(2 pi / N) and cyclic labels, k - N for k >= N/2:
     X and Z then displace by h, and the circuit's index arithmetic mod N is

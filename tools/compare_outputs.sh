@@ -6,7 +6,8 @@
 # BASE and HEAD are checkouts of this repository, for example a git worktree
 # of the base commit and the working tree.  Each command below runs once per
 # side, with PYTHONPATH=<side>/src and QIDSIM_OUTPUT_DIR set to a fresh
-# directory of that side, so a relative --dump-wigner stem writes there.
+# directory of that side, so a relative --out path or --dump-wigner stem
+# writes there.
 # Stdout, stderr, the exit code and every file a command writes must be
 # byte-identical.  Each command that differs is printed with the start of
 # its diff, and the script then exits 1; it exits 0 when every command
@@ -51,6 +52,9 @@ commands=(
     "clone"
     "clone --dim-range 3:3 --format json"
     "coherent-clone --displacement 3+4j"
+    "distribute --dim 4 --alpha 0.5 --out d.json"
+    "clone --dim-range 2:5 --out c.csv"
+    "cv --xi 0.5 --grid 256 --format json --out r.json"
 )
 
 for side in base head; do
