@@ -1106,8 +1106,8 @@ class TestUncertaintyRelation:
 
     def test_pure_states_with_large_variances_accepted(self):
         # ab - c^2 = 1/4 up to b's rounding: the smallest eigenvalue is
-        # within 1e-13 of 0, but m and r agree only to rounding at their
-        # scale, so the difference m - r would reject hundreds of these
+        # within 5e-11 of 0, but m and r agree only to rounding at their
+        # scale, up to 1e14, so the difference m - r would reject 37 of these
         rng = np.random.default_rng(3131)
         for _ in range(500):
             a, c = 10.0 ** rng.uniform(-6.0, 6.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 7.0)

@@ -894,10 +894,11 @@ def _weyl_weights(program: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p1[a, b] = |sum_u C[u, u - a] w^-bu|^2 / N and
     p2[a, b] = |sum_u C[-a, u] w^-bu|^2 / N, with w = exp(2 pi i / N)."""
     dim = len(program)
-    u, a = np.arange(dim), np.arange(dim)[:, None]
+    u = np.arange(dim)
     phase = np.exp(-2j * np.pi * np.outer(u, u) / dim)  # [u, b]
-    p1 = np.abs(program[u, (u - a) % dim] @ phase) ** 2 / dim
-    p2 = np.abs(program[-a[:, 0] % dim] @ phase) ** 2 / dim
+    # rows [a, u] of C[u, u - a] and of C[-a, u]
+    p1 = np.abs(program[u, (u - u[:, None]) % dim] @ phase) ** 2 / dim
+    p2 = np.abs(program[-u % dim] @ phase) ** 2 / dim
     return p1, p2
 
 
