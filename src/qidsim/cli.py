@@ -503,6 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # an empty path would name the output directory itself, or "."
+        if args.out == "":
+            raise _bad_option("--out", args.out, "a non-empty path")
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))

@@ -842,11 +842,10 @@ def qid_symplectic() -> np.ndarray:
     and a momentum kick on the input moves outputs 1 and 2 along and
     output 3 against.
     """
-    a = qid_position_matrix()
-    a_inv_t = np.linalg.inv(a).T
     s = np.zeros((6, 6))
-    s[0::2, 0::2] = a
-    s[1::2, 1::2] = np.round(a_inv_t)  # integer entries, no roundoff
+    s[0::2, 0::2] = qid_position_matrix()
+    # A^-T: det A = 1, so its entries are integers, written exactly
+    s[1::2, 1::2] = [[1, -1, -1], [1, 0, -1], [-1, 1, 2]]
     return s
 
 

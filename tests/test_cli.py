@@ -610,6 +610,32 @@ class TestOutputHandling:
         assert err.startswith(f"error: cannot write {tmp_path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("env", (False, True), ids=("cwd", "env"))
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["clone"],
+            ["distribute", "--dim", "3", "--alpha", "0.5"],
+            ["covariance", "--dim", "2", "--trials", "1"],
+            ["cv", "--xi", "0.5", "--grid", "64"],
+            ["coherent-clone"],
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_out_path(self, tmp_path, monkeypatch, capsys, argv, env):
+        # an empty path is not an absent --out: joined to the output
+        # directory it names that directory, and alone it names "."; it is
+        # rejected before any work, and nothing is created
+        monkeypatch.chdir(tmp_path)
+        if env:
+            monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path / "out"))
+        else:
+            monkeypatch.delenv("QIDSIM_OUTPUT_DIR", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out) == (1, "")
+        assert err == "error: --out expects a non-empty path, got ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_wigner_dump_below_a_regular_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

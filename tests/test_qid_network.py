@@ -902,10 +902,39 @@ def _weyl_weights(program: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
+def _output3_multiplier(program: np.ndarray) -> np.ndarray:
+    """Output 3's Weyl multiplier, indexed [shift a, phase b], from the
+    program's amplitude matrix C alone: with K_a(v) = sum_w C[w, v]
+    conj(C[w - a, v - 2a]), m3[a, b] = w^ab sum_v K_a(v) w^-bv, with
+    w = exp(2 pi i / N)."""
+    dim = len(program)
+    u = np.arange(dim)
+    # rows [a, v] of K_a(v); C[(u - a) % N][:, (u - 2a) % N] is C[w - a, v - 2a]
+    kernels = np.array(
+        [(program * program[(u - a) % dim][:, (u - 2 * a) % dim].conj()).sum(axis=0) for a in range(dim)]
+    )
+    phase = np.exp(2j * np.pi * np.outer(u, u) / dim)  # w^ab, and w^bv
+    return phase * (kernels @ phase.conj())
+
+
 class TestInputFreeFidelities:
     """Each clone's fidelity is a Weyl mixture's: F_i(phi) = sum_ab
     p_i[a, b] |<phi|X^a Z^b|phi>|^2, with weights that depend on the program
-    alone, and its Haar average is (N p_i[0, 0] + 1)/(N + 1)."""
+    alone, and its Haar average is (N p_i[0, 0] + 1)/(N + 1).  Output 3
+    multiplies each Weyl operator of the transposed input, so its fidelity
+    with phi* is (1/N) sum_ab m3[a, b] |<phi*|X^a Z^b|phi*>|^2."""
+
+    @staticmethod
+    def _overlaps(phi: PureState) -> np.ndarray:
+        """|<phi|X^a Z^b|phi>|^2, indexed [a, b]."""
+        dim = phi.dim
+        return np.array(
+            [
+                [abs(np.vdot(phi.amplitudes, shift_x(dim, a).matrix @ shift_p(dim, b).matrix @ phi.amplitudes)) ** 2
+                 for b in range(dim)]
+                for a in range(dim)
+            ]
+        )
 
     @pytest.mark.parametrize("dim", (3, 5, 6))
     def test_fidelity_is_a_weyl_mixture(self, dim):
@@ -914,13 +943,7 @@ class TestInputFreeFidelities:
         program = PureState((dim, dim), (matrix / np.linalg.norm(matrix)).ravel())
         phi = haar_random_state((dim,), rng)
         out = distribute(phi, program)
-        overlaps = np.array(
-            [
-                [abs(np.vdot(phi.amplitudes, shift_x(dim, a).matrix @ shift_p(dim, b).matrix @ phi.amplitudes)) ** 2
-                 for b in range(dim)]
-                for a in range(dim)
-            ]
-        )
+        overlaps = self._overlaps(phi)
         for weights, rho in zip(_weyl_weights(program.amplitudes.reshape(dim, dim)), (out.rho1, out.rho2)):
             assert abs(weights.sum() - 1) <= 1e-12
             assert abs(fidelity(rho, phi) - (weights * overlaps).sum()) <= 1e-12
@@ -929,6 +952,30 @@ class TestInputFreeFidelities:
     def test_haar_average_is_the_cloner_fidelity(self, dim):
         p1, _ = _weyl_weights(cloner_program(dim).amplitudes.reshape(dim, dim))
         assert abs((dim * p1[0, 0] + 1) / (dim + 1) - clone_fidelity(dim)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", (3, 4, 5, 6))
+    def test_output3_fidelity_is_a_weyl_multiplier(self, dim):
+        # odd and even N take different Gram paths in distribute
+        rng = np.random.default_rng(3300 + dim)
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        matrix /= np.linalg.norm(matrix)
+        phi = haar_random_state((dim,), rng)
+        conjugate = PureState((dim,), phi.amplitudes.conj())
+        rho3 = distribute(phi, PureState((dim, dim), matrix.ravel())).rho3
+        m3 = _output3_multiplier(matrix)
+        assert abs(m3[0, 0] - 1) <= 1e-12
+        assert abs(fidelity(rho3, conjugate) - (m3 * self._overlaps(conjugate)).sum() / dim) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.8))
+    @pytest.mark.parametrize("dim", (2, 3, 5, 8, 16))
+    def test_output3_haar_average(self, dim, alpha):
+        # the Haar average of |<phi|W_ab|phi>|^2 is 1 at (0, 0) and 1/(N + 1)
+        # elsewhere; the closed form is s3 + e3 of rho3 = s3 rho_in^T + e3 1
+        beta = solve_beta(dim, alpha)
+        m3 = _output3_multiplier(program_state(dim, alpha, beta).amplitudes.reshape(dim, dim))
+        average = (m3[0, 0] + (m3.sum() - m3[0, 0]) / (dim + 1)) / dim
+        closed = 2 * alpha * beta / dim + (dim - 2 * alpha * beta) / dim**2
+        assert abs(average - closed) <= 1e-14
 
 
 def _lattice_positions(dim: int) -> np.ndarray:

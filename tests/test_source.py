@@ -72,13 +72,35 @@ def test_exports_are_defined_and_listed():
         assert unlisted == [], node.module
 
 
+def test_package_reexports_only_the_readme_example_names():
+    # the package top level re-exports the names README's library example
+    # imports, and no others: every other name is imported from its module.
+    # The example runs as written
+    readme = (SOURCES[0].parents[2] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    example = ast.parse(block)
+    imported = {
+        alias.name
+        for node in ast.walk(example)
+        if isinstance(node, ast.ImportFrom) and node.module == "qidsim"
+        for alias in node.names
+    }
+    init = ast.parse(SOURCES[0].with_name("__init__.py").read_text())
+    exported = {
+        alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert imported
+    assert imported == exported
+    exec(compile(example, "README.md", "exec"), {})
+
+
 def test_test_references_stay_out_of_the_package():
     # the squeezed single-mode states and the kernels' Wigner functions are
     # test references, kept in tests/helpers.py: no command, acceptance
     # check or library function reads them
-    qidsim = importlib.import_module("qidsim")
+    modules = [importlib.import_module(name) for name in ("qidsim", "qidsim.cv_gaussian")]
     references = {"regularized_x0", "regularized_p0", "thermal_reduction", "kernel_wigner_value"}
-    for module in (qidsim, qidsim.cv_gaussian):
+    for module in modules:
         assert references.isdisjoint(vars(module)), module.__name__
 
 

@@ -55,6 +55,12 @@ commands=(
     "distribute --dim 4 --alpha 0.5 --out d.json"
     "clone --dim-range 2:5 --out c.csv"
     "cv --xi 0.5 --grid 256 --format json --out r.json"
+    "distribute --dim 5 --alpha 1 --input random:2"
+    "distribute --dim 4 --alpha 0 --input random:2"
+    "clone --dim-range 63:65"
+    "cv --xi 0.5,4 --grid 64 --dump-wigner k"
+    "cv --xi 400"
+    "distribute --dim 1 --alpha 0.5"
 )
 
 for side in base head; do
