@@ -30,13 +30,6 @@ from .qudit_core import PureState, fidelity, haar_random_state
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QIDSIM_OUTPUT_DIR"
-# trapezoid nodes of the kernel-norm check on each side of eta = 0: a spacing
-# of sigma / 33 over +-12 sigma
-KERNEL_NORM_HALF_NODES = 400
-# largest squeezing the kernel-norm rule can sample: its outermost node is
-# 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
-# squares it; 144 cosh 2 xi overflows past xi = ln(float max / 72) / 2 = 352.753
-XI_MAX = 352.75
 # largest --grid: a grid row holds O(grid) numbers, 72 MB peak RSS and 0.13 s
 # for two rows at 65536 points; --dump-wigner builds grid^2 arrays, 0.41 GB
 # and 15 s for one xi at 2048 points
@@ -50,17 +43,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_out(option: str, text: str | None) -> Path | None:
+def _resolve_out(option: str, text: str | None, stem: bool = False) -> Path | None:
     """The path an output option names, joined to ``$QIDSIM_OUTPUT_DIR`` if
     relative; None if the option is absent.  Text that does not end in a file
     name (empty, ``.``, ``..``, or a trailing ``/``) would name a directory,
-    or drop out of the join, so it is rejected."""
+    or drop out of the join, so it is rejected, and so is a path that names
+    an existing directory, unless it is a ``stem``, whose files are written
+    beside it."""
     if text is None:
         return None
     if os.path.basename(text) in ("", ".", ".."):
         raise _bad_option(option, text, "a path that ends in a file name")
     # an absolute text replaces the base in the join; no base leaves it as is
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ""), text)
+    path = Path(os.environ.get(OUTPUT_DIR_ENV, ""), text)
+    if not stem and path.is_dir():
+        raise ValueError(f"cannot write {path}: {option} names a directory")
+    return path
 
 
 def _write_file(path: Path, write) -> None:
@@ -287,24 +285,6 @@ def _random_alpha_beta(dim: int, rng: np.random.Generator) -> tuple[float, float
     return alpha, net.solve_beta(dim, alpha)
 
 
-def _kernel_norm(which: int, xi: float) -> float:
-    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of an output-1 kernel by the
-    trapezoid rule on 2 KERNEL_NORM_HALF_NODES + 1 nodes over +-12 sigma.
-
-    The bounds scale with the kernel, which can be e^{-xi}-narrow.  The
-    integrand is a Gaussian of width at most sigma, so the rule's error,
-    exp(-2 pi^2 (sigma / h)^2) at node spacing h = sigma / 33, and the
-    truncated tails, exp(-72), are both far below rounding.  The nodes are
-    integer multiples of h, so the peak eta = 0 is always one of them and a
-    kernel that is NaN there fails the check.
-    """
-    _, var, _ = cv._kernel_form(which, xi, 1)
-    h = 12 * math.sqrt(var) / KERNEL_NORM_HALF_NODES
-    eta = h * np.arange(-KERNEL_NORM_HALF_NODES, KERNEL_NORM_HALF_NODES + 1)
-    k = cv.kernel_eval(which, xi, 0.0, eta)
-    return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
-
-
 @functools.cache
 def _vacuum() -> cv.GaussianState:
     """The cv command's input, built and validated once per process, like
@@ -328,10 +308,10 @@ def cmd_cv(args) -> int:
         raise _bad_option("--xi", args.xi, "comma-separated numbers") from None
     for xi in xis:
         cv._as_xi(xi)
-        if xi > XI_MAX:
+        if xi > cv.XI_MAX:
             raise ValueError(
                 f"squeezing xi={xi} overflows the kernel-norm rule, which samples "
-                f"xi <= {XI_MAX}"
+                f"xi <= {cv.XI_MAX}"
             )
     vacuum = _vacuum()
     # gates in row order and, within a row, the kernel residual, then the
@@ -342,7 +322,7 @@ def cmd_cv(args) -> int:
         beta = cv.solve_cv_beta(alpha, xi)
         row = {"xi": xi, "alpha": alpha, "beta": beta}
         for which in (1, 2, 3):
-            val = _kernel_norm(which, xi)
+            val = cv.kernel_norm(which, xi)
             row[f"k{which}_norm"] = val
             row[f"k{which}_residual"] = val - cv.kernel_norm_expected(which, xi)
         resid = _worst(abs(row[f"k{which}_residual"]) for which in (1, 2, 3))
@@ -499,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         # every output path is resolved and checked here, before any work
         args.out = _resolve_out("--out", args.out)
         if args.command == "cv":
-            args.dump_wigner = _resolve_out("--dump-wigner", args.dump_wigner)
+            args.dump_wigner = _resolve_out("--dump-wigner", args.dump_wigner, stem=True)
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))

@@ -70,6 +70,7 @@ from .qid_network import two_branch_beta
 
 __all__ = [
     "XI_GRID_MAX",
+    "XI_MAX",
     "Lattice",
     "WignerGrid",
     "GaussianState",
@@ -85,6 +86,7 @@ __all__ = [
     "solve_cv_beta",
     "k3_total_weight",
     "kernel_eval",
+    "kernel_norm",
     "kernel_norm_expected",
     "kernel_characteristic",
     "convolve_with_kernel",
@@ -104,6 +106,10 @@ __all__ = [
 # e^{xi}-wide kernel cannot then resolve the vacuum input: at xi = 5 the
 # sampled input's mass is off by 0.1 on a 1024^2 grid.
 XI_GRID_MAX = 3.0
+# Largest squeezing :func:`kernel_norm` can sample: its outermost node is
+# 12 sigma of output 1's kernel 2, sigma^2 = cosh 2 xi, and kernel_eval
+# squares it; 144 cosh 2 xi overflows past xi = ln(float max / 72) / 2 = 352.753
+XI_MAX = 352.75
 
 
 def _as_xi(value: float) -> float:
@@ -227,13 +233,17 @@ class GaussianState:
     """Gaussian state: mean vector and covariance over interleaved quadratures.
 
     A covariance is accepted when the smallest eigenvalue of cov + (i/2) J
-    is at least -1e-9 (the uncertainty relation).  For one mode, with
-    variances a, b and x-p covariance c, that matrix's eigenvalues are
-    m +- r with m = (a + b)/2 and r = hypot((a - b)/2, c, 1/2), and the
-    smaller is taken in closed form: det / (m + r) = (ab - c^2 - 1/4) / (m + r)
-    when m > 0, which does not cancel for a strongly squeezed pure state,
-    else m - r.  So a one-mode state, the only kind the ``cv`` command
-    builds, needs no LAPACK; two or more modes use ``eigvalsh``.
+    is at least -(1e-9 + 2 eps ||cov + (i/2) J||), with eps = 2^-52 and the
+    norm the largest |eigenvalue| (the uncertainty relation).  Rounding
+    moves an eigenvalue by about eps times that norm, so past a norm of
+    about 10^7 the 1e-9 alone would reject pure states on noise.  For one
+    mode, with variances a, b and x-p covariance c, that matrix's
+    eigenvalues are m +- r with m = (a + b)/2 and r = hypot((a - b)/2, c, 1/2),
+    so its norm is |m| + r, and the smaller is taken in closed form:
+    det / (m + r) = (ab - c^2 - 1/4) / (m + r) when m > 0, which does not
+    cancel for a strongly squeezed pure state, else m - r.  So a one-mode
+    state, the only kind the ``cv`` command builds, needs no LAPACK; two or
+    more modes use ``eigvalsh``, with the same rule.
     """
 
     mean: np.ndarray
@@ -253,12 +263,12 @@ class GaussianState:
             # terms are divided by m + r >= max(a, b, |c|) first, so none overflows
             (a, _), (c, b) = cov.tolist()
             mid, radius = a / 2 + b / 2, math.hypot(a / 2 - b / 2, c, 0.5)
-            top = mid + radius
+            top, norm = mid + radius, abs(mid) + radius
             min_eig = (a / top) * b - (c / top) * c - 0.25 / top if mid > 0 else mid - radius
         else:
-            j = symplectic_form(mean.size // 2)
-            min_eig = float(np.linalg.eigvalsh(cov + 0.5j * j).min())
-        if min_eig < -1e-9:
+            eigs = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(mean.size // 2))
+            min_eig, norm = float(eigs[0]), float(np.abs(eigs).max())
+        if min_eig < -1e-9 - 2.0**-51 * norm:
             raise ValueError(f"covariance violates the uncertainty relation by {min_eig:.3e}")
         self.mean, self.cov = mean, cov
 
@@ -459,9 +469,7 @@ def _kernel_table(xi: float) -> np.ndarray:
 def _kernel_form(which: int, xi: float, output: int) -> tuple[float, float, float]:
     """(amp, var, twist) of kernel ``which`` of ``output``: its row of
     :func:`_kernel_table`."""
-    which = _check_which(which)
-    output = _check_output(output)
-    return tuple(_kernel_table(xi)[output - 1, which - 1].tolist())
+    return tuple(_kernel_table(xi)[_check_output(output) - 1, _check_which(which) - 1].tolist())
 
 
 def kernel_eval(
@@ -484,6 +492,29 @@ def kernel_eval(
         * np.exp(-var * xbar**2 / 2 - (1 / var + var * twist * twist) * eta**2 / 2)
         * np.cosh(var * twist * xbar * eta)
     )
+
+
+# trapezoid nodes of kernel_norm on each side of eta = 0: a spacing of
+# sigma / 33 over +-12 sigma
+_KERNEL_NORM_HALF_NODES = 400
+
+
+def kernel_norm(which: int, xi: float) -> float:
+    """(1/sqrt(2 pi)) * integral K(0; eta) d eta of an output-1 kernel by the
+    trapezoid rule on 2 _KERNEL_NORM_HALF_NODES + 1 nodes over +-12 sigma.
+
+    The bounds scale with the kernel, which can be e^{-xi}-narrow.  The
+    integrand is a Gaussian of width at most sigma, so the rule's error,
+    exp(-2 pi^2 (sigma / h)^2) at node spacing h = sigma / 33, and the
+    truncated tails, exp(-72), are both far below rounding.  The nodes are
+    integer multiples of h, so the peak eta = 0 is always one of them and a
+    kernel that is NaN there fails the check.  Past :data:`XI_MAX` the
+    outer nodes overflow.
+    """
+    h = 12 * math.sqrt(_kernel_form(which, xi, 1)[1]) / _KERNEL_NORM_HALF_NODES
+    eta = h * np.arange(-_KERNEL_NORM_HALF_NODES, _KERNEL_NORM_HALF_NODES + 1)
+    k = kernel_eval(which, xi, 0.0, eta)
+    return float(h * (k.sum() - (k[0] + k[-1]) / 2) / math.sqrt(2 * np.pi))
 
 
 def kernel_norm_expected(which: int, xi: float) -> float:
@@ -622,25 +653,12 @@ def _output_weights(alpha: float, beta: float) -> dict[int, float]:
     return _nonzero_weights({1: alpha * alpha, 2: beta * beta, 3: alpha * beta})
 
 
-def _widest_kernel(
-    grid: Lattice, weights: Mapping[int, float], xi: float, output: int
-) -> float:
-    """Spread of the widest weighted kernel of ``output``; raises
-    :class:`ValueError` when the grid's half-range cannot hold it."""
-    forms = _kernel_table(xi)[_check_output(output) - 1]
-    sigma = math.sqrt(max((forms[k - 1, 1] for k in weights), default=0.0))
-    half = grid.half_width
-    if half < 4 * sigma:
-        raise ValueError(
-            f"kernel spread {sigma:.3g} needs a grid half-range of at least "
-            f"{4 * sigma:.3g}, have {half:.3g}"
-        )
-    return sigma
-
-
-def _padded_length(grid: Lattice, sigma: float) -> int:
-    """FFT length of each axis of the input zero padded for a kernel of
-    spread ``sigma``.
+def _padded_length(grid: Lattice, weights: Mapping[int, float], xi: float, outputs: tuple) -> int:
+    """FFT length of each axis of the input zero padded for the widest
+    weighted kernel of ``outputs``, of spread sigma.  Raises
+    :class:`ValueError`, for the first output in ``outputs`` that has one,
+    when the grid's half-range cannot hold its widest weighted kernel; the
+    table lookup rejects a bad ``xi`` or output first.
 
     The 12 sigma of padding bound the wrap-around of a kernel wider than the
     grid step only.  A kernel narrower than the step has a characteristic
@@ -650,6 +668,16 @@ def _padded_length(grid: Lattice, sigma: float) -> int:
     inputs ``qidsim cv`` samples that moves F by at most 3.3e-16, but a rough
     input feels it (up to 5e-5 in F on a random 30 x 30 grid at xi = 0.5).
     """
+    table, sigma = _kernel_table(xi), 0.0
+    for output in outputs:
+        forms = table[_check_output(output) - 1]
+        widest = math.sqrt(max((forms[k - 1, 1] for k in weights), default=0.0))
+        if grid.half_width < 4 * widest:
+            raise ValueError(
+                f"kernel spread {widest:.3g} needs a grid half-range of at least "
+                f"{4 * widest:.3g}, have {grid.half_width:.3g}"
+            )
+        sigma = max(sigma, widest)
     # 12 sigma of zero padding after the data: a wrapped-around contribution
     # comes from at least 12 sigma away, where every kernel has vanished
     m = math.ceil(6 * sigma / grid.dx) + 1
@@ -671,8 +699,7 @@ def convolve_with_kernel(
     hold the broadened output.
     """
     weights = _nonzero_weights(which)
-    xi = _as_xi(xi)
-    length = _padded_length(grid, _widest_kernel(grid, weights, xi, output))
+    length = _padded_length(grid, weights, xi, (output,))
     shape = (length, length)
     kx = 2 * np.pi * np.fft.fftfreq(length, d=grid.dx)
     kp = 2 * np.pi * np.fft.rfftfreq(length, d=grid.dx)
@@ -694,7 +721,6 @@ def output_wigner(
     Normalisation is preserved whenever (alpha, beta) satisfy the continuous
     normalisation constraint.
     """
-    output = _check_output(output)
     return convolve_with_kernel(input_grid, _output_weights(alpha, beta), xi, output=output)
 
 
@@ -749,10 +775,8 @@ def output_overlaps(
         raise ValueError(
             f"factor shapes {u.shape} and {v.shape} do not match the lattice's ({lattice.n},)"
         )
-    xi = _as_xi(xi)
     weights = _output_weights(alpha, beta)
-    sigma = max(_widest_kernel(lattice, weights, xi, output) for output in (1, 2))
-    length = _padded_length(lattice, sigma)
+    length = _padded_length(lattice, weights, xi, (1, 2))
     freqs = 2 * np.pi * np.fft.rfftfreq(length, d=lattice.dx)
     x_parts, p_parts = _axis_parts(u, v, length)
     # every weighted kernel of both outputs, (output, kernel) along the

@@ -64,7 +64,10 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {expected}"
             )
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        # numpy's pairwise sum of the squared parts, whose rounding grows with
+        # log(size): np.vdot's running sum drifts past ATOL_EXACT on a
+        # near-uniform ket of 1500^2 amplitudes
+        norm = math.sqrt(np.square(amps.view(float)).sum())
         # NaN-safe: a NaN or inf amplitude makes the norm NaN or inf
         if not (abs(norm - 1.0) <= ATOL_EXACT):
             if not np.isfinite(amps).all():

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qidsim import cli, cv_gaussian, qid_network
-from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, XI_MAX, _finish, build_parser, main
+from qidsim.cli import DUMP_GRID_MAX, GRID_MAX, _finish, build_parser, main
+from qidsim.cv_gaussian import XI_MAX
 from qidsim.qudit_core import DensityOperator, Operator
 
 
@@ -450,7 +451,7 @@ class TestCv:
         code, out, err = run_cli(capsys, "cv", "--xi", str(xi))
         assert (code, err) == (0, "")
         (row,) = parse_csv(out)
-        half = cli.KERNEL_NORM_HALF_NODES
+        half = cv_gaussian._KERNEL_NORM_HALF_NODES
         nodes = np.arange(-half, half + 1)
         for which in (1, 2, 3):
             h = 12 * math.sqrt(cv_gaussian._kernel_form(which, xi, 1)[1]) / half
@@ -616,6 +617,27 @@ class TestOutputHandling:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}: ")
         assert err.count("\n") == 1
+
+    def test_out_naming_a_directory_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # main resolves --out first and rejects the directory: no grid is
+        # sampled and no dump file is written
+        monkeypatch.setenv("QIDSIM_OUTPUT_DIR", str(tmp_path))
+        (tmp_path / "existing").mkdir()
+        code, out, err = run_cli(
+            capsys, "cv", "--xi", "1", "--grid", "64", "--dump-wigner", "w", "--out", "existing"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path / 'existing'}: --out names a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert list((tmp_path / "existing").iterdir()) == []
+
+    def test_dump_stem_naming_a_directory_writes_beside_it(self, tmp_path, capsys):
+        # a stem only prefixes the names of the files written beside it
+        stem = tmp_path / "w"
+        stem.mkdir()
+        code, _, err = run_cli(capsys, "cv", "--xi", "1", "--grid", "256", "--dump-wigner", str(stem))
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w", "w_xi1.csv"]
 
     @pytest.mark.parametrize("env", (False, True), ids=("cwd", "env"))
     @pytest.mark.parametrize(

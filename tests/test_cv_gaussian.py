@@ -623,8 +623,7 @@ class TestOutputOverlaps:
         lattice = Lattice(*lattice)
         u, v, grid = sampled_factors(GaussianState.coherent(0.7 + 0.4j), lattice)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        assert cv_gaussian._padded_length(lattice, sigma) % 2 == odd
+        assert cv_gaussian._padded_length(lattice, weights, xi, (1, 2)) % 2 == odd
         got = output_overlaps(lattice, u, v, xi, alpha, beta)
         want = overlaps_in_real_space(grid, xi, alpha, beta)
         assert np.abs(np.subtract(got, want)).max() < 1e-13
@@ -645,8 +644,7 @@ class TestOutputOverlaps:
         lattice = Lattice(5.5, n)
         grid = lattice.like(np.outer(u, v))
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        length = cv_gaussian._padded_length(lattice, sigma)
+        length = cv_gaussian._padded_length(lattice, weights, xi, (1, 2))
         assert length % 2 == odd_width
         kx = 2 * np.pi * np.fft.fftfreq(length, d=grid.dx)
         kp = 2 * np.pi * np.fft.rfftfreq(length, d=grid.dx)
@@ -725,8 +723,7 @@ class TestOutputOverlaps:
         alpha = math.sqrt(0.5)
         beta = solve_cv_beta(alpha, xi)
         weights = {1: alpha * alpha, 2: beta * beta, 3: alpha * beta}
-        sigma = max(cv_gaussian._widest_kernel(lattice, weights, xi, k) for k in (1, 2))
-        length = cv_gaussian._padded_length(lattice, sigma)
+        length = cv_gaussian._padded_length(lattice, weights, xi, (1, 2))
         output_overlaps(lattice, u, v, xi, alpha, beta)  # warm the FFT plans
         tracemalloc.start()
         try:
@@ -1132,6 +1129,40 @@ class TestUncertaintyRelation:
             a, c = 10.0 ** rng.uniform(-6.0, 6.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 7.0)
             cov = np.array([[a, c], [c, (c * c + 0.25) / a]])
             assert _accepted(cov), cov
+
+    @staticmethod
+    def _rotated_pure_states(s: float):
+        """The pure state diag(s/2, 1/(2s)) rotated through 400 angles in
+        [0, pi], symmetrised."""
+        for theta in np.linspace(0.0, math.pi, 400):
+            rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            cov = rot @ np.diag([s / 2, 1 / (2 * s)]) @ rot.T
+            yield (cov + cov.T) / 2
+
+    @pytest.mark.parametrize("s", (1e6, 1e7, 1e8))
+    def test_rotated_pure_states_accepted_in_both_paths(self, s):
+        # at s = 1e8 rounding puts the smallest eigenvalue of some of these
+        # states below -1e-9 (44 in the closed form, by up to -1.3e-9), where
+        # an absolute tolerance rejected them; the tolerance grows with the norm of cov + (i/2) J,
+        # about s/2, in the closed form and in eigvalsh alike.  The
+        # two-mode state adds the vacuum, so it goes through eigvalsh
+        j = symplectic_form(1)
+        below = 0
+        for cov in self._rotated_pure_states(s):
+            below += np.linalg.eigvalsh(cov + 0.5j * j)[0] < -1e-9
+            two_modes = np.zeros((4, 4))
+            two_modes[:2, :2], two_modes[2:, 2:] = cov, VACUUM.cov
+            assert _accepted(cov), cov
+            assert _accepted(two_modes), cov
+        assert below > 0 or s < 1e8
+
+    @pytest.mark.parametrize("modes", (1, 2))
+    def test_violation_at_unit_scale_rejected_in_both_paths(self, modes):
+        # the tolerance grows with the covariance only by rounding's share:
+        # at unit scale a violation of 1e-6 is still rejected
+        cov = (0.5 - 1e-6) * np.eye(2 * modes)
+        with pytest.raises(ValueError, match=r"violates the uncertainty relation by -1\.000e-06$"):
+            GaussianState(np.zeros(2 * modes), cov)
 
     def test_eigvalsh_checks_two_or_more_modes_only(self, monkeypatch):
         calls = []

@@ -30,8 +30,8 @@ from qidsim.qid_network import (
     solve_beta,
     two_branch_beta,
 )
-from qidsim.cli import XI_MAX
 from qidsim.cv_gaussian import (
+    XI_MAX,
     GaussianState,
     cloner_program_gaussian,
     cv_fidelity_asymptotic,

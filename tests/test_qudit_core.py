@@ -296,6 +296,17 @@ class TestStateAndOperatorValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 DensityOperator((2,), np.array([[bad, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("n", (1500, 3000))
+    def test_uniform_ket_accepted_at_large_n(self, n):
+        # n^2 amplitudes of exactly 1/n: np.vdot's running sum of the squares
+        # read 1.1e-12 off 1 at n = 1500 and 2.5e-12 at n = 3000
+        PureState((n, n), np.full(n * n, 1 / n))
+
+    @pytest.mark.parametrize("n", (64, 1500, 3000))
+    def test_ket_off_by_1e_9_rejected_at_every_size(self, n):
+        with pytest.raises(ValueError, match=r"not normalised: \|norm - 1\| = 1\.000e-09$"):
+            PureState((n, n), np.full(n * n, (1 + 1e-9) / n))
+
     def test_amplitude_count_must_match_the_registers(self):
         with pytest.raises(ValueError, match="amplitude vector has length 3, expected 4"):
             PureState((2, 2), np.full(3, 1 / math.sqrt(3)))

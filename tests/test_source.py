@@ -227,6 +227,18 @@ def test_only_main_resolves_output_paths():
     assert {name: lines for name, lines in callers.items() if lines} == {"main": calls}
 
 
+def test_cli_reads_no_kernel_form():
+    # cv_gaussian alone knows a kernel's width: the kernel-norm rule and its
+    # squeezing cap live beside the kernel table, and cli.py reads neither
+    # the table nor a kernel, by attribute or by name
+    path = SOURCES[0].with_name("cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = set(_attribute_reads(tree)) | names
+    assert read & {"_kernel_form", "_kernel_table", "kernel_eval"} == set()
+    assert "kernel_norm" in read
+
+
 def _attribute_reads(tree: ast.AST) -> Counter:
     """How often each name is read as an attribute, ``<expr>.<name>``."""
     return Counter(

@@ -67,6 +67,9 @@ commands=(
     "clone --dim-range 2:3 --format json --out a/b/c.json"
     "distribute --dim 18446744073709551615 --alpha 0.3"
     "distribute --dim $nines --alpha 0.3"
+    "cv --xi 352.75"
+    "cv --xi 0.5 --grid 128 --alpha 1 --dump-wigner a"
+    "cv --xi 0,2 --grid 256 --alpha 0 --dump-wigner b --format json"
 )
 
 for side in base head; do
