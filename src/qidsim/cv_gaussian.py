@@ -232,6 +232,10 @@ def symplectic_form(modes: int) -> np.ndarray:
 class GaussianState:
     """Gaussian state: mean vector and covariance over interleaved quadratures.
 
+    The covariance must be symmetric within 1e-12 + 4 eps max|cov|, with
+    eps = 2^-52: a product of symplectic maps leaves an asymmetry of a few
+    eps times the largest entry.
+
     A covariance is accepted when the smallest eigenvalue of cov + (i/2) J
     is at least -(1e-9 + 2 eps ||cov + (i/2) J||), with eps = 2^-52 and the
     norm the largest |eigenvalue| (the uncertainty relation).  Rounding
@@ -256,7 +260,7 @@ class GaussianState:
             raise ValueError("mean must have even length matching the covariance")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if np.abs(cov - cov.T).max() > 1e-12:
+        if np.abs(cov - cov.T).max() > 1e-12 + 2.0**-50 * np.abs(cov).max():
             raise ValueError("covariance must be symmetric")
         if mean.size == 2:
             # c from the lower triangle, as eigvalsh reads it; the product

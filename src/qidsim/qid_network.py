@@ -43,8 +43,8 @@ K_d(v + 2d).  So all three outputs take one pass of O(N^2 log N) FFTs
 inside the (3, N, N) stack that is returned and one (N, N) spare slot, the
 only N x N-sized arrays a call allocates.  Output 3's kernels K are
 entries of Gram products of sheared columns of C (N^3 multiply-adds in
-BLAS matrix products: one N x N product for odd N, one N x N/2 product
-per column parity for even N), built in those same two arrays and
+BLAS matrix products: one N x N/parts product for each of the
+parts = gcd(2, N) column parities), built in those same two arrays and
 gathered from the products straight into the [v, delta] layout that
 mu3's transform over v reads.
 
@@ -322,27 +322,22 @@ def _channel_tables(dim: int) -> _ChannelTables:
     d = validate_dim(dim)
     x = np.arange(d)
     delta = x[:, None]
-    # Output 3's sheared columns y_v[w] = C[w + s(v), v], gathered into the
-    # left factor Z of each Gram product, whose right factor is all of Z for
-    # odd N and Z's first N/2 columns for even N.  Odd N: one Z = [y_0 ...
-    # y_{N-1}].  Even N: one Z per column parity p, [y_p, y_{p+2}, ... | the
-    # same rolled by N/2].
+    # Output 3's sheared columns y_v[w] = C[w + s(v), v] are gathered per
+    # column parity p into parts = gcd(2, N) left factors Z_p: the N/parts
+    # columns y_p, y_{p+parts}, ..., then, for even N, the same rolled by
+    # N/2.  Each Gram product's right factor is Z_p's first N/parts columns.
     # ``third`` reads K[delta, u] = <y_{u'}, y_u> into [v, delta], where
-    # u = v + delta and u' = u - 2 delta = v - delta; its rows v are
-    # ``delta`` below and its columns delta are ``x``.
+    # u = v + delta and u' = u - 2 delta = v - delta, from the rolled
+    # columns where s(u) - s(u') - delta = N/2 (never for odd N); its rows v
+    # are ``delta`` below and its columns delta are ``x``.
+    parts = 2 - d % 2
+    columns = d // parts
     u, u_prime = (delta + x) % d, (delta - x) % d
-    if d % 2:
-        shift = x * ((d + 1) // 2) % d
-        col = x[None, None, :]
-        offset = shift[col]
-        third = u_prime * d + u
-    else:
-        half = d // 2
-        shift = x // 2
-        col = 2 * (x % half) + np.arange(2)[:, None, None]
-        offset = shift[col] + half * (x >= half)
-        rolled = (shift[u] - x - shift[u_prime]) % d != 0
-        third = (u % 2) * d * half + (u_prime // 2 + half * rolled) * half + u // 2
+    shift = x * ((d + 1) // 2) % d if d % 2 else x // 2
+    col = parts * (x % columns) + np.arange(parts)[:, None, None]
+    offset = shift[col] + columns * (x >= columns)
+    rolled = (shift[u] - x - shift[u_prime]) % d != 0
+    third = (u % parts) * d * columns + (u_prime // parts + columns * rolled) * columns + u // parts
     tables = _ChannelTables(
         diagonals=x * d + (x - delta) % d,  # C[x, x - j]
         shear=((delta + offset) % d) * d + col,
@@ -362,16 +357,16 @@ def _third_output_kernels(coeffs: np.ndarray, out: np.ndarray, spare: np.ndarray
     at [v, d].
 
     With y_v[w] = C[w + s(v), v] and v' = v - 2d, K[d, v] = <y_{v'}, y_v>
-    whenever s(v) - s(v') = d.  For odd N, s(v) = v (N+1)/2 halves v mod N,
-    so this always holds and one N x N product gives every entry.  For even
-    N, s(v) = floor(v/2) leaves s(v) - s(v') - d = 0 or N/2, and the N/2
-    case reads the product with the columns y_{v'} rolled by N/2.  There
-    v' has v's parity, so the products are taken per parity: two N x N/2
-    products, half the work of one over all pairs.
+    whenever s(v) - s(v') = d.  v' has v's parity, so the products are
+    taken per column parity: parts = gcd(2, N) products of N x N/parts,
+    N^3 multiply-adds together at every N.  s halves v: s(v) =
+    v (N+1)/2 mod N for odd N, where s(v) - s(v') = d always holds, and
+    s(v) = floor(v/2) for even N, where s(v) - s(v') - d is 0 or N/2 and
+    the N/2 case reads the product with the columns y_{v'} rolled by N/2.
 
-    The conjugated left factors fill slot 0 (and slot 1 for even N), the
-    right factors slot 2 and the Gram products ``spare``; one gather reads
-    K from the products into slot 0.
+    The conjugated left factors fill the first ``parts`` slots, the right
+    factors slot 2 and the Gram products ``spare``; one gather reads K
+    from the products into slot 0.
     """
     tables = _channel_tables(coeffs.shape[0])
     parts, d = tables.shear.shape[0], coeffs.shape[0]

@@ -1036,14 +1036,43 @@ class TestGaussianFidelity:
 
     def test_asymmetric_covariance_rejected(self):
         # the lower triangle alone is the vacuum's, so only the symmetry
-        # check sees the upper one
-        with pytest.raises(ValueError, match="covariance must be symmetric"):
-            GaussianState(np.zeros(2), np.array([[0.5, 0.1], [0.0, 0.5]]))
+        # check sees the upper one; its tolerance scales with the entries
+        # by 4 eps, so an asymmetry of 1e-6 relative is still rejected
+        for cov in (np.array([[0.5, 0.1], [0.0, 0.5]]), 1e5 * np.array([[1.0, 1e-6], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="covariance must be symmetric"):
+                GaussianState(np.zeros(2), cov)
+
+    def test_symplectic_compositions_accepted(self):
+        # two squeezers leave an asymmetry of 2.9e-11 on max|cov| = 3.9e5,
+        # a third of eps relative, far above an absolute 1e-12
+        state = apply_symplectic(_squeezer(1e3, 0.4), apply_symplectic(_squeezer(1e3, 0.3), VACUUM))
+        assert np.abs(state.cov - state.cov.T).max() > 1e-12
+        # seeded: one mode, two squeezers; two modes, a squeezer on each
+        # mode, a third on mode 0, then a beamsplitter; s log-uniform in
+        # [10, 1e6]
+        rng = np.random.default_rng(37)
+        two_vacua = tensor_gaussian(VACUUM, VACUUM)
+        for _ in range(200):
+            s, theta = 10.0 ** rng.uniform(1.0, 6.0, 3), rng.uniform(0.0, math.pi, 4)
+            apply_symplectic(_squeezer(s[1], theta[1]), apply_symplectic(_squeezer(s[0], theta[0]), VACUUM))
+            modes = np.zeros((4, 4))
+            modes[:2, :2], modes[2:, 2:] = _squeezer(s[0], theta[0]), _squeezer(s[1], theta[1])
+            third = np.eye(4)
+            third[:2, :2] = _squeezer(s[2], theta[2])
+            c, t = math.cos(theta[3]), math.sin(theta[3])
+            beamsplitter = np.kron(np.array([[c, t], [-t, c]]), np.eye(2))
+            apply_symplectic(beamsplitter, apply_symplectic(third, apply_symplectic(modes, two_vacua)))
 
     @pytest.mark.parametrize("mode", (-1, 1))
     def test_reduce_rejects_a_mode_out_of_range(self, mode):
         with pytest.raises(ValueError, match=f"mode {mode} out of range"):
             VACUUM.reduce(mode)
+
+
+def _squeezer(s: float, theta: float) -> np.ndarray:
+    """One-mode symplectic map R(theta) diag(sqrt(s), 1/sqrt(s))."""
+    c, t = math.cos(theta), math.sin(theta)
+    return np.array([[c, -t], [t, c]]) @ np.diag([math.sqrt(s), 1 / math.sqrt(s)])
 
 
 def _accepted(cov: np.ndarray) -> bool:

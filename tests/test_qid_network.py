@@ -366,10 +366,11 @@ class TestDistribution:
             assert abs(np.trace(mat) - 1) <= 1e-12
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
 
-    @pytest.mark.parametrize("dim", (*range(2, 10), 16, 64, 65, 128))
+    @pytest.mark.parametrize("dim", (*range(2, 10), 15, 16, 27, 64, 65, 66, 127, 128))
     def test_third_output_kernels_match_loop(self, dim):
-        # odd N, N = 0 mod 4 and N = 2 mod 4 read the Gram product differently;
-        # a non-normalised complex C exercises every entry
+        # one construction at every N: one parity block for odd N (prime and
+        # composite), two for even N, where N = 0 and N = 2 mod 4 place the
+        # N/2 roll differently; a non-normalised complex C exercises every entry
         rng = np.random.default_rng(dim)
         coeffs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         oracle = third_output_kernels_by_loop(coeffs)

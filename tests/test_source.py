@@ -156,6 +156,16 @@ def test_every_channel_table_is_read():
     assert fields - read == set()
 
 
+def test_channel_tables_take_no_parity_branch():
+    # output 3's tables are one construction at every N, odd N being the
+    # one-block case of even N's parity blocks; only the shift s(v) differs,
+    # as one expression, so the function holds no if statement
+    path = SOURCES[0].with_name("qid_network.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_channel_tables"]
+    assert [node.lineno for node in ast.walk(func) if isinstance(node, ast.If)] == []
+
+
 # imports kept without a use in their module: qid_network binds partial_trace
 # for qidbench, whose tracer wraps it there and whose tests check the binding
 UNUSED_IMPORTS_KEPT = {("qid_network.py", "partial_trace")}

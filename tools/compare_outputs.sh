@@ -45,6 +45,8 @@ commands=(
     "cv --xi 0.5,3 --grid 512 --alpha 1"
     "distribute --dim 64 --alpha 0.3 --input random:3"
     "distribute --dim 65 --alpha 0.3 --input random:3"
+    "distribute --dim 27 --alpha 0.45 --input random:4"
+    "distribute --dim 66 --alpha 0.3 --input random:3"
     "distribute --dim 3 --alpha 0.5 --input 1,1j,0.5"
     "distribute --dim 5 --alpha 0.6 --input random:18446744073709551616"
     "covariance --dim 5 --trials 2 --seed 1"
